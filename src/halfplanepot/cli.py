@@ -37,7 +37,8 @@ from .kernels import (
     modified_poisson,
     poisson,
 )
-from .potentials import PotentialValue, green_potential, poisson_integral
+# not called here; kept so the benchmark's layer tracer can still patch them on this module
+from .potentials import green_potential, poisson_integral  # noqa: F401
 from .scenario import load_scenario
 
 EXIT_OK = 0
@@ -145,123 +146,19 @@ def _cmd_kernel(args) -> int:
     return EXIT_OK
 
 
-def _plan_points(scenario):
-    from .growth import _sample_points
-
-    return _sample_points(scenario.plan)
-
-
-def _scaled_quad(scenario, normalizer: float):
-    from dataclasses import replace
-
-    q = scenario.quad
-    return replace(q, abs_tol=max(q.abs_tol, q.rel_tol * normalizer))
-
-
-def _cmd_solve(args) -> int:
-    scenario = load_scenario(args.config)
+def _load_valid_scenario(path: str):
+    """The scenario at path, or None (after a message) if it fails the theorem hypotheses."""
+    scenario = load_scenario(path)
     validation = scenario.validation()
     if not validation.ok:
         print("invalid scenario: " + "; ".join(validation.failures), file=sys.stderr)
-        return EXIT_CONFIG
-    rows = []
-    for _ray, _rad, _ann, r, th in _plan_points(scenario):
-        z = complex(r * math.cos(th), r * math.sin(th))
-        normalizer = z.imag ** (1.0 - scenario.alpha) * r ** (scenario.m + scenario.alpha)
-        try:
-            vres = poisson_integral(
-                scenario.density, z, scenario.m, _scaled_quad(scenario, normalizer)
-            )
-            h = green_potential(scenario.measure, z, scenario.m)
-        except (NumericalFailure, SingularityError) as exc:
-            print(f"numerical failure at z={z}: {exc}", file=sys.stderr)
-            return EXIT_NUMERICAL
-        pv = PotentialValue(vres.value, h, vres.value + h, vres.quad_error, vres.tail_bound)
-        rows.append(
-            (
-                z.real,
-                z.imag,
-                math.hypot(z.real, z.imag),
-                pv.v,
-                pv.h,
-                pv.u,
-                pv.quad_error,
-                pv.tail_bound,
-            )
-        )
-    _write_csv(
-        args.out,
-        ["x", "y", "abs_z", "v", "h", "u", "quad_err", "tail_bound"],
-        rows,
-    )
-    return EXIT_OK
+        return None
+    return scenario
 
 
-def _build_cover(scenario):
-    return build_exceptional_cover(
-        scenario.measure, scenario.cover_params(), scenario.search_radius
-    )
-
-
-def _cmd_cover(args) -> int:
-    scenario = load_scenario(args.config)
-    cover = _build_cover(scenario)
-    with open(args.out, "w", newline="") as fh:
-        fh.write(cover_to_json(cover))
-    try:
-        report = certify_complement(
-            scenario.measure,
-            scenario.cover_params(),
-            cover,
-            samples=args.samples,
-            seed=scenario.seed,
-        )
-    except CoverCertificationError as exc:
-        print(f"certification failed: {exc}", file=sys.stderr)
-        return EXIT_VIOLATION
-    print(
-        f"cover: {len(cover.balls)} balls, budget {cover.budget:.6g} "
-        f"(bound {3 * 5 ** cover.beta * scenario.measure.total_mass / cover.lam:.6g}); "
-        f"certified on {report.samples} samples, worst ratio {report.worst_ratio:.6g}"
-    )
-    return EXIT_OK
-
-
-def _cmd_verify(args) -> int:
-    scenario = load_scenario(args.config)
-    validation = scenario.validation()
-    if not validation.ok:
-        print("invalid scenario: " + "; ".join(validation.failures), file=sys.stderr)
-        return EXIT_CONFIG
-    if scenario.min_factor_per_decade is None:
-        print(
-            "verify needs min_factor_per_decade in the scenario file",
-            file=sys.stderr,
-        )
-        return EXIT_CONFIG
-    if scenario.search_radius < scenario.plan.radii[-1]:
-        print(
-            f"warning: cover search radius {scenario.search_radius:g} is below the "
-            f"largest sampled radius {scenario.plan.radii[-1]:g}; samples beyond it "
-            "cannot be flagged as exceptional",
-            file=sys.stderr,
-        )
-    cover = _build_cover(scenario)
-    if args.cover_out:
-        with open(args.cover_out, "w", newline="") as fh:
-            fh.write(cover_to_json(cover))
-    try:
-        certify_complement(
-            scenario.measure,
-            scenario.cover_params(),
-            cover,
-            samples=args.cert_samples,
-            seed=scenario.seed,
-        )
-    except CoverCertificationError as exc:
-        print(f"certification failed: {exc}", file=sys.stderr)
-        return EXIT_VIOLATION
-
+def _growth_report(scenario, cover):
+    """The scenario's growth report, or None (after a message naming the
+    first failed point) if any point could not be evaluated."""
     report = growth_report(
         scenario.density,
         scenario.measure,
@@ -278,6 +175,93 @@ def _cmd_verify(args) -> int:
             f"numerical failure at z=({s.x}, {s.y}): {s.note}",
             file=sys.stderr,
         )
+        return None
+    return report
+
+
+def _certified_cover(scenario, json_path, samples: int):
+    """Build the scenario's cover, write its JSON to json_path (if given) and
+    certify its complement; returns (cover, certification report), or None
+    (after a message) if certification fails."""
+    cover = build_exceptional_cover(
+        scenario.measure, scenario.cover_params(), scenario.search_radius
+    )
+    if json_path:
+        with open(json_path, "w", newline="") as fh:
+            fh.write(cover_to_json(cover))
+    try:
+        report = certify_complement(
+            scenario.measure,
+            scenario.cover_params(),
+            cover,
+            samples=samples,
+            seed=scenario.seed,
+        )
+    except CoverCertificationError as exc:
+        print(f"certification failed: {exc}", file=sys.stderr)
+        return None
+    return cover, report
+
+
+def _cmd_solve(args) -> int:
+    scenario = _load_valid_scenario(args.config)
+    if scenario is None:
+        return EXIT_CONFIG
+    report = _growth_report(scenario, None)
+    if report is None:
+        return EXIT_NUMERICAL
+    _write_csv(
+        args.out,
+        ["x", "y", "abs_z", "v", "h", "u", "quad_err", "tail_bound"],
+        [
+            (s.x, s.y, math.hypot(s.x, s.y), s.v, s.h, s.u, s.quad_error, s.tail_bound)
+            for s in report.samples
+        ],
+    )
+    return EXIT_OK
+
+
+def _cmd_cover(args) -> int:
+    scenario = load_scenario(args.config)
+    certified = _certified_cover(scenario, args.out, args.samples)
+    if certified is None:
+        return EXIT_VIOLATION
+    cover, report = certified
+    print(
+        f"cover: {len(cover.balls)} balls, budget {cover.budget:.6g} "
+        f"(bound {3 * 5 ** cover.beta * scenario.measure.total_mass / cover.lam:.6g}); "
+        f"certified on {report.samples} samples, worst ratio {report.worst_ratio:.6g}"
+    )
+    return EXIT_OK
+
+
+def _cmd_verify(args) -> int:
+    scenario = _load_valid_scenario(args.config)
+    if scenario is None:
+        return EXIT_CONFIG
+    if scenario.min_factor_per_decade is None:
+        print(
+            "verify needs min_factor_per_decade in the scenario file",
+            file=sys.stderr,
+        )
+        return EXIT_CONFIG
+    certified = _certified_cover(scenario, args.cover_out, args.cert_samples)
+    if certified is None:
+        return EXIT_VIOLATION
+    cover, _cert = certified
+    # the annulus sweep covers |z| < guarantee_radius; a sample on or beyond
+    # it can never be flagged
+    largest = scenario.plan.radii[-1]
+    if largest >= cover.guarantee_radius:
+        print(
+            f"warning: cover search radius {scenario.search_radius:g} covers "
+            f"|z| < {cover.guarantee_radius:g}, not the largest sampled radius "
+            f"{largest:g}; samples beyond it cannot be flagged as exceptional",
+            file=sys.stderr,
+        )
+
+    report = _growth_report(scenario, cover)
+    if report is None:
         return EXIT_NUMERICAL
     _write_csv(
         args.out,

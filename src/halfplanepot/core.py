@@ -52,40 +52,6 @@ def _require_finite(label: str, *values: float) -> None:
 
 
 @dataclass(frozen=True)
-class HalfPlanePoint:
-    """Interior point z = x + iy with y > 0 strictly."""
-
-    x: float
-    y: float
-
-    def __post_init__(self):
-        _require_finite("HalfPlanePoint coordinate", self.x, self.y)
-        if not self.y > 0:
-            raise ValueError(f"interior point needs y > 0, got y={self.y}")
-
-    @property
-    def z(self) -> complex:
-        return complex(self.x, self.y)
-
-    def __abs__(self) -> float:
-        return math.hypot(self.x, self.y)
-
-    @staticmethod
-    def from_complex(z: complex) -> "HalfPlanePoint":
-        return HalfPlanePoint(float(z.real), float(z.imag))
-
-
-@dataclass(frozen=True)
-class BoundaryPoint:
-    """Point of the boundary line, identified with a real abscissa."""
-
-    xi: float
-
-    def __post_init__(self):
-        _require_finite("BoundaryPoint", self.xi)
-
-
-@dataclass(frozen=True)
 class UpperPoint:
     """Point of the closed upper half plane; eta = 0 marks the boundary."""
 
@@ -144,10 +110,8 @@ def as_order(m: Union[KernelOrder, int]) -> int:
     return KernelOrder(m).m
 
 
-def as_interior(z: Union[HalfPlanePoint, complex]) -> complex:
+def as_interior(z: complex) -> complex:
     """Coerce to a complex interior point, checking y > 0."""
-    if isinstance(z, HalfPlanePoint):
-        return z.z
     zc = complex(z)
     if not (math.isfinite(zc.real) and math.isfinite(zc.imag)):
         raise ValueError(f"interior point must be finite, got {zc!r}")
@@ -156,10 +120,8 @@ def as_interior(z: Union[HalfPlanePoint, complex]) -> complex:
     return zc
 
 
-def as_upper(zeta: Union[UpperPoint, complex]) -> complex:
+def as_upper(zeta: complex) -> complex:
     """Coerce to a complex point of the closed upper half plane."""
-    if isinstance(zeta, UpperPoint):
-        return zeta.zeta
     zc = complex(zeta)
     if not (math.isfinite(zc.real) and math.isfinite(zc.imag)):
         raise ValueError(f"upper point must be finite, got {zc!r}")
@@ -168,9 +130,7 @@ def as_upper(zeta: Union[UpperPoint, complex]) -> complex:
     return zc
 
 
-def as_boundary(xi: Union[BoundaryPoint, float]) -> float:
-    if isinstance(xi, BoundaryPoint):
-        return xi.xi
+def as_boundary(xi: float) -> float:
     x = float(xi)
     if not math.isfinite(x):
         raise ValueError(f"boundary point must be finite, got {xi!r}")
@@ -454,7 +414,7 @@ class QuadratureSpec:
 class ScenarioValidation:
     ok: bool
     failures: Tuple[str, ...]
-    measure_norm: float
+    mass_functional: float
 
     def raise_if_invalid(self) -> None:
         if not self.ok:

@@ -88,11 +88,6 @@ class ExceptionalCover:
         return any(b.contains(zc) for b in self.balls)
 
 
-def cover_contains(cover: ExceptionalCover, z: complex) -> bool:
-    """True iff z lies in some open ball of the cover."""
-    return cover.contains(z)
-
-
 def _witness_radius(z, beta, lam, dist, cum):
     """Smallest inflated atom distance whose open ball strictly beats the
     threshold; an atom-centered candidate with no positive qualifying
@@ -315,7 +310,9 @@ def cover_to_json(cover: ExceptionalCover) -> str:
     )
 
 
-def cover_from_json(text: str, guarantee_radius: float = 4.0) -> ExceptionalCover:
+def cover_from_json(text: str, *, guarantee_radius: float) -> ExceptionalCover:
+    """Inverse of cover_to_json.  The JSON does not record the radius up to
+    which the cover is guaranteed, so the caller must supply it."""
     data = json.loads(text)
     balls = tuple(Ball(b["cx"], b["cy"], b["r"]) for b in data["balls"])
     return ExceptionalCover(

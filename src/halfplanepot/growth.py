@@ -86,6 +86,8 @@ class GrowthSample:
     v: float
     h: float
     u: float
+    quad_error: float
+    tail_bound: float
     normalizer: float
     ratio: float
     in_cover: bool
@@ -127,13 +129,14 @@ def growth_report(
     m: Union[KernelOrder, int],
     alpha: Union[GrowthExponent, float],
     plan: SamplingPlan,
-    cover: ExceptionalCover,
+    cover: Optional[ExceptionalCover],
     quad: QuadratureSpec = QuadratureSpec(),
 ) -> GrowthReport:
     """Evaluate u over the plan grid and normalize.
 
-    Samples inside the cover are flagged, not dropped.  Per-sample evaluation
-    errors are recorded on the sample (ok=False) without aborting the run.
+    Samples inside the cover are flagged, not dropped; with cover=None no
+    sample is flagged.  Per-sample evaluation errors are recorded on the
+    sample (ok=False) without aborting the run.
     The per-point quadrature tolerance is max(abs_tol, rel_tol * normalizer):
     the harness consumes the ratio u/normalizer, so that is the scale on
     which accuracy matters.
@@ -146,14 +149,14 @@ def growth_report(
     for ray_i, rad_j, ann_k, r, th in _sample_points(plan):
         z = complex(r * math.cos(th), r * math.sin(th))
         normalizer = z.imag ** (1.0 - a) * r ** (mm + a)
-        in_cover = cover.contains(z)
+        in_cover = cover is not None and cover.contains(z)
         pq = replace(quad, abs_tol=max(quad.abs_tol, quad.rel_tol * normalizer))
         try:
             pv = subharmonic_eval(density, mu, z, mm, pq)
             samples.append(
                 GrowthSample(
                     ray_i, rad_j, ann_k, z.real, z.imag,
-                    pv.v, pv.h, pv.u, normalizer,
+                    pv.v, pv.h, pv.u, pv.quad_error, pv.tail_bound, normalizer,
                     abs(pv.u) / normalizer, in_cover,
                 )
             )
@@ -162,7 +165,7 @@ def growth_report(
             samples.append(
                 GrowthSample(
                     ray_i, rad_j, ann_k, z.real, z.imag,
-                    nan, nan, nan, normalizer, nan, in_cover,
+                    nan, nan, nan, nan, nan, normalizer, nan, in_cover,
                     ok=False, note=str(exc),
                 )
             )

@@ -25,11 +25,8 @@ import math
 from typing import Tuple, Union
 
 from .core import (
-    BoundaryPoint,
     DomainError,
-    HalfPlanePoint,
     SingularityError,
-    UpperPoint,
     as_boundary,
     as_interior,
     as_order,
@@ -98,7 +95,7 @@ def modified_fundamental(z: complex, zeta: complex, order: int) -> float:
     return base - correction / TWO_PI
 
 
-def green(z: Union[HalfPlanePoint, complex], zeta: Union[UpperPoint, complex]) -> float:
+def green(z: complex, zeta: complex) -> float:
     """G(z, zeta) = E(z - zeta) - E(z - conj(zeta)); nonpositive on the half plane.
 
     Uses the identity |z - conj(zeta)|^2 = |z - zeta|^2 + 4 y eta, so the value
@@ -124,8 +121,8 @@ def _green_correction_sum(t: float, th_z: float, th_zeta: float, m: int) -> floa
 
 
 def modified_green(
-    z: Union[HalfPlanePoint, complex],
-    zeta: Union[UpperPoint, complex],
+    z: complex,
+    zeta: complex,
     m: int,
     mode: Union[EvalMode, str] = EvalMode.AUTO,
 ) -> float:
@@ -193,7 +190,7 @@ def modified_green(
     return acc / PI
 
 
-def poisson(z: Union[HalfPlanePoint, complex], xi: Union[BoundaryPoint, float]) -> float:
+def poisson(z: complex, xi: float) -> float:
     """Poisson kernel P(z, xi) = y / (pi |z - xi|^2); strictly positive."""
     zc = as_interior(z)
     x = as_boundary(xi)
@@ -218,8 +215,8 @@ def _poisson_correction_sum(az: float, th_z: float, xi: float, m: int) -> float:
 
 
 def modified_poisson(
-    z: Union[HalfPlanePoint, complex],
-    xi: Union[BoundaryPoint, float],
+    z: complex,
+    xi: float,
     m: int,
     mode: Union[EvalMode, str] = EvalMode.AUTO,
 ) -> float:
@@ -294,8 +291,8 @@ def green_tail_envelope(z: complex, zeta: complex, m: int) -> float:
 
 def lemma2_bound(
     case: int,
-    z: Union[HalfPlanePoint, complex],
-    arg: Union[BoundaryPoint, UpperPoint, complex, float],
+    z: complex,
+    arg: Union[complex, float],
     m: int,
 ) -> Tuple[float, float]:
     """Return (lhs, rhs) of kernel inequality `case` in {1, 2, 3, 4}.

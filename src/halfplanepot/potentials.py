@@ -17,7 +17,6 @@ from .core import (
     BoundaryDensity,
     DiscreteMeasure,
     DomainError,
-    HalfPlanePoint,
     KernelOrder,
     NumericalFailure,
     QuadratureSpec,
@@ -97,9 +96,43 @@ def _breakpoints(z: complex, radius: float, density: BoundaryDensity):
     return sorted(pts)
 
 
+def _truncated_integral(density, integrand, quad, start, center, tail_bound):
+    """Integrate over [-T, T], doubling T from start (or the support radius,
+    if larger) until tail_bound(T) clears half the tolerance; returns the
+    quadrature result, the final tail bound and T.  Panels are seeded around
+    center.
+    """
+    T = start
+    sup = density.support_radius()
+    if math.isfinite(sup):
+        T = max(T, sup)
+    coarse = one_shot(integrand, _breakpoints(center, T, density))
+    tol = max(quad.abs_tol, quad.rel_tol * abs(coarse))
+    while True:
+        tail = tail_bound(T)
+        if tail <= 0.5 * tol:
+            break
+        if T > _MAX_TRUNCATION:
+            raise NumericalFailure(
+                f"tail certificate cannot reach {0.5 * tol:.3e} within the "
+                f"floating-point range (still {tail:.3e} at T={T:.3e})",
+                coarse,
+                tail,
+            )
+        T *= 2.0
+    res = integrate(
+        integrand,
+        _breakpoints(center, T, density),
+        abs_tol=0.5 * tol,
+        rel_tol=0.0,
+        max_depth=quad.max_depth,
+    )
+    return res, tail, T
+
+
 def poisson_integral(
     density: BoundaryDensity,
-    z: Union[HalfPlanePoint, complex],
+    z: complex,
     m: Union[KernelOrder, int],
     quad: QuadratureSpec = QuadratureSpec(),
 ) -> PoissonIntegralResult:
@@ -114,40 +147,19 @@ def poisson_integral(
     if not ok:
         raise DomainError(f"density fails the weighted-norm condition for m={mm}: {why}")
 
-    az = abs(zc)
-    T = max(quad.initial_truncation, 2.0 * az + 1.0, 2.0)
-    sup = density.support_radius()
-    if math.isfinite(sup):
-        T = max(T, sup)
-
     def integrand(xi: float) -> float:
         fv = density.value(xi)
         if fv == 0.0:
             return 0.0
         return modified_poisson(zc, xi, mm) * fv
 
-    coarse = one_shot(integrand, _breakpoints(zc, T, density))
-    tol = max(quad.abs_tol, quad.rel_tol * abs(coarse))
-
-    while True:
-        tail = kernel_tail_sup_bound(zc, mm, T) * density.tail_norm_bound(mm, T)
-        if tail <= 0.5 * tol:
-            break
-        if T > _MAX_TRUNCATION:
-            raise NumericalFailure(
-                f"tail certificate cannot reach {0.5 * tol:.3e} within the "
-                f"floating-point range (still {tail:.3e} at T={T:.3e})",
-                coarse,
-                tail,
-            )
-        T *= 2.0
-
-    res = integrate(
+    res, tail, T = _truncated_integral(
+        density,
         integrand,
-        _breakpoints(zc, T, density),
-        abs_tol=0.5 * tol,
-        rel_tol=0.0,
-        max_depth=quad.max_depth,
+        quad,
+        max(quad.initial_truncation, 2.0 * abs(zc) + 1.0, 2.0),
+        zc,
+        lambda T: kernel_tail_sup_bound(zc, mm, T) * density.tail_norm_bound(mm, T),
     )
     return PoissonIntegralResult(res.value, res.error, tail, T, res.panels)
 
@@ -169,34 +181,20 @@ def density_norm(
             return 0.0
         return abs(fv) / (1.0 + abs(xi) ** (2 + mm))
 
-    T = max(quad.initial_truncation, 2.0)
-    sup = density.support_radius()
-    if math.isfinite(sup):
-        T = max(T, sup)
-    coarse = one_shot(integrand, _breakpoints(complex(0.0, 1.0), T, density))
-    tol = max(quad.abs_tol, quad.rel_tol * abs(coarse))
-    while density.tail_norm_bound(mm, T) > 0.5 * tol:
-        if T > _MAX_TRUNCATION:
-            raise NumericalFailure("density norm tail will not converge", coarse, math.inf)
-        T *= 2.0
-    res = integrate(
+    res, _tail, _T = _truncated_integral(
+        density,
         integrand,
-        _breakpoints(complex(0.0, 1.0), T, density),
-        abs_tol=0.5 * tol,
-        rel_tol=0.0,
-        max_depth=quad.max_depth,
+        quad,
+        max(quad.initial_truncation, 2.0),
+        complex(0.0, 1.0),
+        lambda T: density.tail_norm_bound(mm, T),
     )
     return res.value
 
 
-def measure_norm(mu: DiscreteMeasure, m: Union[KernelOrder, int]) -> float:
-    """Exact finite sum of w * eta / (1 + |zeta|^{2+m})."""
-    return mu.mass_functional(m)
-
-
 def green_potential(
     mu: DiscreteMeasure,
-    z: Union[HalfPlanePoint, complex],
+    z: complex,
     m: Union[KernelOrder, int],
 ) -> float:
     """h(z): the G_m potential of the measure, an exact finite sum.
@@ -222,7 +220,7 @@ def green_potential(
 def subharmonic_eval(
     density: BoundaryDensity,
     mu: DiscreteMeasure,
-    z: Union[HalfPlanePoint, complex],
+    z: complex,
     m: Union[KernelOrder, int],
     quad: QuadratureSpec = QuadratureSpec(),
 ) -> PotentialValue:

@@ -133,6 +133,35 @@ class TestSolveCommand:
         cfg = write_scenario(tmp_path, schema_version=2)
         assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 1
 
+    @pytest.mark.parametrize("command", ["solve", "verify"])
+    def test_numerical_failure_exit_2(self, tmp_path, capsys, command):
+        # the density's tail decays too slowly for any truncation to certify
+        cfg = write_scenario(tmp_path, m=1, density={"family": "power", "s": 1.999})
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 2
+        assert "numerical failure at z=" in capsys.readouterr().err
+
+    def test_cells_match_verify(self, tmp_path, capsys):
+        # solve and verify evaluate the same grid through one code path
+        cfg = write_scenario(
+            tmp_path,
+            measure={"atoms": [[0.5, 2.0, 1.0], [-3.0, 7.0, 0.5]]},
+            plan={
+                "rays": [math.pi / 3, math.pi / 2],
+                "radii": {"start": 1.0, "factor": 10.0, "count": 3},
+                "annulus_samples": 1,
+            },
+        )
+        solve_out, verify_out = tmp_path / "solve.csv", tmp_path / "verify.csv"
+        assert main(["solve", "--config", str(cfg), "--out", str(solve_out)]) == 0
+        main(["verify", "--config", str(cfg), "--out", str(verify_out), "--cert-samples", "200"])
+
+        def cells(path):  # x, y, v, h, u
+            rows = [line.split(",") for line in path.read_text().splitlines()[1:]]
+            return [(r[0], r[1], r[3], r[4], r[5]) for r in rows]
+
+        assert len(cells(solve_out)) == 9
+        assert cells(solve_out) == cells(verify_out)
+
     def test_annulus_samples_ordering(self, tmp_path, capsys):
         cfg = write_scenario(
             tmp_path,
@@ -212,6 +241,29 @@ class TestVerifyCommand:
         cfg = tmp_path / "s.json"
         cfg.write_text(json.dumps(data))
         assert main(["verify", "--config", str(cfg), "--out", str(tmp_path / "g.csv")]) == 1
+
+    def test_no_warning_when_cover_reaches_largest_radius(self, tmp_path, capsys):
+        # the radius ladder ends at 100 * (10^(1/3))^6 = 10000.000000000004,
+        # inside the |z| < 16384 the search radius 1e4 covers
+        cfg = write_scenario(
+            tmp_path,
+            plan={"rays": [math.pi / 2], "radii": {"start": 100.0, "factor": 10.0 ** (1.0 / 3.0), "count": 7}},
+            cover={"search_radius": 1e4},
+        )
+        rc = main(["verify", "--config", str(cfg), "--out", str(tmp_path / "g.csv"), "--cert-samples", "200"])
+        assert rc == 0
+        assert "warning" not in capsys.readouterr().err
+
+    def test_warning_when_cover_stops_short(self, tmp_path, capsys):
+        cfg = write_scenario(
+            tmp_path,
+            plan={"rays": [math.pi / 2], "radii": {"start": 1.0, "factor": 10.0, "count": 4}},
+            cover={"search_radius": 16.0},
+        )
+        rc = main(["verify", "--config", str(cfg), "--out", str(tmp_path / "g.csv"), "--cert-samples", "200"])
+        assert rc == 0
+        err = capsys.readouterr().err
+        assert "warning: cover search radius 16" in err and "largest sampled radius 1000" in err
 
     def test_verify_byte_identical(self, tmp_path, capsys):
         cfg = write_scenario(tmp_path)

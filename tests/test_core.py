@@ -9,7 +9,6 @@ from halfplanepot import (
     CoverParams,
     DiscreteMeasure,
     GrowthExponent,
-    HalfPlanePoint,
     IndicatorDensity,
     KernelOrder,
     PowerDensity,
@@ -18,26 +17,6 @@ from halfplanepot import (
     UpperPoint,
     validate_scenario,
 )
-
-finite = st.floats(allow_nan=False, allow_infinity=False, width=64)
-
-
-class TestHalfPlanePoint:
-    @given(finite, st.floats(min_value=1e-300, max_value=1e300))
-    def test_accepts_interior(self, x, y):
-        p = HalfPlanePoint(x, y)
-        assert p.z == complex(x, y)
-
-    @given(finite, st.floats(max_value=0.0, allow_nan=False))
-    def test_rejects_boundary_and_below(self, x, y):
-        with pytest.raises(ValueError):
-            HalfPlanePoint(x, y)
-
-    def test_rejects_nan(self):
-        with pytest.raises(ValueError):
-            HalfPlanePoint(math.nan, 1.0)
-        with pytest.raises(ValueError):
-            HalfPlanePoint(0.0, math.inf)
 
 
 class TestUpperPoint:
@@ -177,3 +156,12 @@ class TestValidateScenario:
     def test_alpha_two_fine_without_measure(self):
         res = validate_scenario(IndicatorDensity(-1.0, 1.0, 1.0), DiscreteMeasure.empty(), 0, 2.0)
         assert res.ok
+
+
+def test_public_names_resolve_once():
+    import halfplanepot
+
+    names = halfplanepot.__all__
+    assert len(names) == len(set(names))
+    for name in names:
+        assert hasattr(halfplanepot, name), name

@@ -12,7 +12,6 @@ from halfplanepot import (
     ParameterError,
     build_exceptional_cover,
     certify_complement,
-    cover_contains,
     cover_from_json,
     cover_to_json,
     maximal_function,
@@ -155,14 +154,14 @@ class TestCoverConstruction:
 class TestCoverContains:
     def test_empty_cover(self):
         cover = ExceptionalCover((), 1.0, 1.0, 0.0, 8.0)
-        assert not cover_contains(cover, 3 + 3j)
+        assert not cover.contains(3 + 3j)
 
     def test_center_and_open_boundary(self):
         from halfplanepot import Ball
 
         cover = ExceptionalCover((Ball(0.0, 0.0, 1.0),), 1.0, 1.0, 1.0, 8.0)
-        assert cover_contains(cover, 0j)
-        assert not cover_contains(cover, 1.0 + 0j)  # distance exactly the radius
+        assert cover.contains(0j)
+        assert not cover.contains(1.0 + 0j)  # distance exactly the radius
 
 
 class TestCertification:
@@ -206,8 +205,9 @@ class TestSerialization:
         assert data["lambda"] == 5.0
         # 17 significant digits round-trip doubles exactly
         back = cover_from_json(text, guarantee_radius=cover.guarantee_radius)
-        assert back.balls == cover.balls
-        assert back.budget == cover.budget
+        assert back == cover
+        with pytest.raises(TypeError):
+            cover_from_json(text)  # the radius is not in the JSON; no silent default
 
     def test_empty_cover_json(self):
         cover = ExceptionalCover((), 0.5, 2.0, 0.0, 8.0)

@@ -2,11 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from halfplanepot import (
     DiscreteMeasure,
     DomainError,
     IndicatorDensity,
+    NumericalFailure,
     PowerDensity,
     QuadratureSpec,
     SingularityError,
@@ -14,12 +17,42 @@ from halfplanepot import (
     density_norm,
     green,
     green_potential,
-    measure_norm,
+    modified_green,
+    poisson,
     poisson_integral,
     subharmonic_eval,
 )
 
 TIGHT = QuadratureSpec(abs_tol=1e-9, rel_tol=1e-12)
+
+finite = st.floats(allow_nan=False, allow_infinity=False, width=64)
+
+# every entry point taking an interior point z as a plain complex
+INTERIOR_ENTRY_POINTS = {
+    "poisson": lambda z: poisson(z, 0.5),
+    "modified_green": lambda z: modified_green(z, 2j, 1),
+    "poisson_integral": lambda z: poisson_integral(IndicatorDensity(-1.0, 1.0, 1.0), z, 0),
+    "green_potential": lambda z: green_potential(DiscreteMeasure.empty(), z, 0),
+}
+
+
+class TestInteriorPoint:
+    @given(finite, st.floats(min_value=1e-300, max_value=1e300))
+    def test_accepts_interior(self, x, y):
+        assert poisson(complex(x, y), 0.5) >= 0.0
+        assert green_potential(DiscreteMeasure.empty(), complex(x, y), 0) == 0.0
+
+    @pytest.mark.parametrize("entry", sorted(INTERIOR_ENTRY_POINTS))
+    @given(x=finite, y=st.floats(max_value=0.0, allow_nan=False))
+    def test_rejects_boundary_and_below(self, entry, x, y):
+        with pytest.raises(ValueError):
+            INTERIOR_ENTRY_POINTS[entry](complex(x, y))
+
+    @pytest.mark.parametrize("entry", sorted(INTERIOR_ENTRY_POINTS))
+    def test_rejects_nan(self, entry):
+        for z in (complex(math.nan, 1.0), complex(0.0, math.inf)):
+            with pytest.raises(ValueError):
+                INTERIOR_ENTRY_POINTS[entry](z)
 
 
 def indicator_poisson_closed_form(z: complex, a: float, b: float, height: float) -> float:
@@ -120,15 +153,16 @@ class TestPoissonIntegral:
         assert abs(res.value - oracle) < 1e-6
 
     def test_typed_surface(self):
-        from halfplanepot import BoundaryPoint, HalfPlanePoint, KernelOrder, UpperPoint
-        from halfplanepot import green, modified_poisson
+        from halfplanepot import KernelOrder, modified_poisson
 
-        assert green(HalfPlanePoint(0.0, 1.0), UpperPoint(0.0, 2.0)) == green(1j, 2j)
-        assert modified_poisson(HalfPlanePoint(0.0, 1.0), BoundaryPoint(2.0), KernelOrder(1)) == modified_poisson(1j, 2.0, 1)
-        res = poisson_integral(
-            IndicatorDensity(-1.0, 1.0, 1.0), HalfPlanePoint(0.0, 1.0), KernelOrder(0), TIGHT
-        )
+        assert modified_poisson(1j, 2.0, KernelOrder(1)) == modified_poisson(1j, 2.0, 1)
+        res = poisson_integral(IndicatorDensity(-1.0, 1.0, 1.0), 1j, KernelOrder(0), TIGHT)
         assert abs(res.value - 0.5) < 1e-6
+
+    def test_truncation_failure(self):
+        # the tail decays like T^-0.001: no radius below 1e305 certifies it
+        with pytest.raises(NumericalFailure):
+            poisson_integral(PowerDensity(1.999), 3 + 4j, 1)
 
     def test_harmonicity_of_v(self):
         # 5-point Laplacian at step 1e-2 below 1e-3 of the local value
@@ -165,6 +199,10 @@ class TestDensityNorm:
             val = density_norm(PowerDensity(s), m, QuadratureSpec(abs_tol=1e-9, rel_tol=1e-9))
             exact = 2 * (math.pi / (2 + m)) / math.sin(math.pi * (s + 1) / (2 + m))
             assert abs(val - exact) <= 1e-6 * exact
+
+    def test_truncation_failure(self):
+        with pytest.raises(NumericalFailure):
+            density_norm(PowerDensity(1.999), 1)
 
     def test_tabulated(self):
         # hat function on [-1, 1]: f = 1 - |xi|; oracle by dense trapezoid
@@ -216,11 +254,11 @@ class TestGreenPotential:
 
 class TestMeasureNormAndCompose:
     def test_examples(self):
-        assert measure_norm(DiscreteMeasure.empty(), 0) == 0.0
+        assert DiscreteMeasure.empty().mass_functional(0) == 0.0
         one = DiscreteMeasure.from_triples([(0.0, 1.0, 1.0)])
-        assert math.isclose(measure_norm(one, 0), 0.5, rel_tol=1e-15)
+        assert math.isclose(one.mass_functional(0), 0.5, rel_tol=1e-15)
         two = DiscreteMeasure.from_triples([(0.0, 2.0, 1.0), (0.0, 3.0, 2.0)])
-        assert math.isclose(measure_norm(two, 1), 2.0 / 9.0 + 6.0 / 28.0, rel_tol=1e-15)
+        assert math.isclose(two.mass_functional(1), 2.0 / 9.0 + 6.0 / 28.0, rel_tol=1e-15)
 
     def test_subharmonic_compose(self):
         f = IndicatorDensity(-1.0, 1.0, 1.0)
