@@ -18,6 +18,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Tuple
 
 import numpy as np
@@ -31,25 +32,74 @@ from .core import (
 
 _WITNESS_INFLATION = 1e-9
 
+# Upper bound on the elements (rows x atoms, or rows x balls) of every array
+# temporary of the batched ball tests and maximal-function evaluations.
+_BLOCK_ELEMENTS = 4096
 
-def _distance_profile(mu: DiscreteMeasure, z: complex):
-    """Sorted distinct distances from z to the atoms with cumulative mass."""
-    d = np.abs(mu.positions - z)
-    order = np.argsort(d, kind="stable")
-    ds = d[order]
-    cum = np.cumsum(mu.weight_array[order])
-    last_of_run = np.append(ds[1:] != ds[:-1], True)
-    return ds[last_of_run], cum[last_of_run]
+# Draws per certification block; its (draws, 2) uniforms stay within
+# _BLOCK_ELEMENTS.
+_DRAW_BLOCK = _BLOCK_ELEMENTS // 8
 
 
-def _profile_sup(dist, cum, beta: float) -> float:
-    if dist[0] == 0.0:
-        if cum[0] > 0.0:
-            return math.inf
-        dist, cum = dist[1:], cum[1:]
-        if len(dist) == 0:
-            return 0.0
-    return float(np.max(cum / dist**beta))
+def _row_blocks(rows: int, width: int):
+    """Slices of range(rows) into blocks of at most _BLOCK_ELEMENTS // width
+    rows (at least one)."""
+    step = max(1, _BLOCK_ELEMENTS // width)
+    return (slice(lo, lo + step) for lo in range(0, rows, step))
+
+
+def _nearest_atom(mu: DiscreteMeasure, zs: np.ndarray) -> np.ndarray:
+    """Distance from each point of zs to its nearest atom (nonempty mu)."""
+    out = np.empty(len(zs))
+    for blk in _row_blocks(len(zs), len(mu)):
+        out[blk] = np.min(np.abs(mu.positions - zs[blk, None]), axis=1)
+    return out
+
+
+def _profile_blocks(mu: DiscreteMeasure, zs: np.ndarray, beta: float):
+    """Yield (blk, dist, cum, sup) over row blocks zs[blk]: per row the
+    distances to the atoms sorted ascending, the cumulative mass out to each,
+    and M(dmu) at the point (beta > 0, nonempty mu)."""
+    for blk in _row_blocks(len(zs), len(mu)):
+        d = np.abs(mu.positions - zs[blk, None])
+        order = np.argsort(d, axis=1, kind="stable")
+        dist = np.take_along_axis(d, order, axis=1)
+        cum = np.cumsum(mu.weight_array[order], axis=1)
+        yield blk, dist, cum, _profile_sup(dist, cum, beta)
+
+
+def _profile_sup(dist, cum, beta: float) -> np.ndarray:
+    """Row maxima of cum / dist**beta.  Within a run of equal distances the
+    last entry has the largest cum (weights are >= 0), so the runs need no
+    deduplication.  Zero-distance entries are skipped, unless the atoms at
+    the point carry positive weight, which makes the row +inf; a row with no
+    other entry is 0."""
+    at_point = dist == 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = cum / dist**beta
+    ratio[at_point] = -math.inf
+    sup = np.max(ratio, axis=1)
+    sup[sup == -math.inf] = 0.0
+    sup[np.any(at_point & (cum > 0.0), axis=1)] = math.inf
+    return sup
+
+
+def maximal_function_many(
+    mu: DiscreteMeasure, zs, beta: float
+) -> np.ndarray:
+    """maximal_function at each point of the 1-d complex array zs, evaluated
+    in blocks of bounded size."""
+    if beta < 0:
+        raise ParameterError(f"maximal function order beta must be >= 0, got {beta}")
+    zs = np.asarray(zs, dtype=complex)
+    if len(mu) == 0:
+        return np.zeros(len(zs))
+    if beta == 0.0:
+        return np.full(len(zs), mu.total_mass)
+    out = np.empty(len(zs))
+    for blk, _dist, _cum, sup in _profile_blocks(mu, zs, beta):
+        out[blk] = sup
+    return out
 
 
 def maximal_function(
@@ -63,14 +113,7 @@ def maximal_function(
     +inf when z carries an atom of positive weight and beta > 0; the total
     mass when beta = 0.
     """
-    if beta < 0:
-        raise ParameterError(f"maximal function order beta must be >= 0, got {beta}")
-    if len(mu) == 0:
-        return 0.0
-    if beta == 0.0:
-        return mu.total_mass
-    dist, cum = _distance_profile(mu, complex(z))
-    return _profile_sup(dist, cum, beta)
+    return float(maximal_function_many(mu, [complex(z)], beta)[0])
 
 
 @dataclass(frozen=True)
@@ -83,9 +126,31 @@ class ExceptionalCover:
     budget: float
     guarantee_radius: float
 
+    @cached_property
+    def _ball_arrays(self) -> np.ndarray:
+        """Rows cx, cy, radius of the balls."""
+        return np.array(
+            [(b.cx, b.cy, b.radius) for b in self.balls], dtype=float
+        ).reshape(-1, 3).T
+
+    def contains_many(self, zs) -> np.ndarray:
+        """Whether each point of the 1-d complex array zs lies in an (open)
+        ball, tested in blocks of bounded size.  np.hypot is the C library's
+        hypot, as abs(complex) is, while np.abs of a complex array may round
+        differently; so a point on a boundary is tested as Ball.contains
+        tests it."""
+        zs = np.asarray(zs, dtype=complex)
+        cx, cy, radius = self._ball_arrays
+        inside = np.zeros(len(zs), dtype=bool)
+        if len(radius) == 0:
+            return inside
+        for blk in _row_blocks(len(zs), len(radius)):
+            z = zs[blk, None]
+            inside[blk] = np.any(np.hypot(z.real - cx, z.imag - cy) < radius, axis=1)
+        return inside
+
     def contains(self, z: complex) -> bool:
-        zc = complex(z)
-        return any(b.contains(zc) for b in self.balls)
+        return bool(self.contains_many([complex(z)])[0])
 
 
 def _witness_radius(z, beta, lam, dist, cum):
@@ -129,6 +194,48 @@ def _hex_grid(r_lo: float, r_hi: float, pitch: float):
     return pts
 
 
+def _annulus_candidates(mu: DiscreteMeasure, k: int):
+    """Candidate centers of annulus 2^k <= |z| < 2^{k+1}: its atoms and the
+    hex grid at pitch 2^{k-4}, sorted by (real, imag)."""
+    r_lo, r_hi = 2.0**k, 2.0 ** (k + 1)
+    candidates = {}
+    for pos in mu.positions:
+        p = complex(pos)
+        if r_lo <= abs(p) < r_hi:
+            candidates[(p.real, p.imag)] = p
+    for g in _hex_grid(r_lo, r_hi, 2.0 ** (k - 4)):
+        candidates.setdefault((g.real, g.imag), g)
+    return [candidates[key] for key in sorted(candidates)]
+
+
+def _witness_balls(mu: DiscreteMeasure, params: CoverParams, centers, r_cap: float):
+    """(center, witness radius clamped to r_cap) of each candidate center
+    where M(dmu) beats lambda/|z|^beta and a witness radius exists, in the
+    order of centers (beta > 0, nonempty mu)."""
+    beta, lam = params.beta, params.lam
+    points = np.array(centers)
+    thresholds = np.fromiter(
+        (lam / abs(c) ** beta for c in centers), float, len(centers)
+    )
+    # M(dmu)(c) <= mu(C) / dist(c, supp mu)^beta, so a candidate whose
+    # nearest-atom bound does not beat the threshold cannot pass.  The slack
+    # exceeds the rounding of the cumulative sums (an ulp per atom), of pow
+    # and of the division.
+    slack = 1.0 + 1e-9 + 1e-15 * len(mu)
+    with np.errstate(divide="ignore"):  # a candidate on an atom
+        bound = mu.total_mass * slack / _nearest_atom(mu, points) ** beta
+    live = np.flatnonzero(bound > thresholds)
+    found = []
+    for blk, dist, cum, sup in _profile_blocks(mu, points[live], beta):
+        rows = live[blk]
+        for i in np.flatnonzero(sup > thresholds[rows]):
+            c = centers[rows[i]]
+            witness = _witness_radius(c, beta, lam, dist[i], cum[i])
+            if witness is not None:
+                found.append((c, min(witness, r_cap)))
+    return found
+
+
 def build_exceptional_cover(
     mu: DiscreteMeasure,
     params: CoverParams,
@@ -163,35 +270,14 @@ def build_exceptional_cover(
     for k in range(1, k_max + 1):
         r_lo, r_hi = 2.0**k, 2.0 ** (k + 1)
         # no point of this annulus can reach the threshold if even the whole
-        # mass at the closest possible distance falls short
+        # mass at the closest possible distance falls short; at beta = 0,
+        # M(dmu) = mu(C) <= lambda = lambda/|z|^0 everywhere
         gap = r_lo - largest_atom
-        if beta > 0 and gap > 0 and mass / gap**beta <= lam / r_hi**beta:
+        if beta == 0 or (gap > 0 and mass / gap**beta <= lam / r_hi**beta):
             continue
-        candidates = {}
-        for pos in mu.positions:
-            p = complex(pos)
-            if r_lo <= abs(p) < r_hi:
-                candidates[(p.real, p.imag)] = p
-        for g in _hex_grid(r_lo, r_hi, 2.0 ** (k - 4)):
-            candidates.setdefault((g.real, g.imag), g)
-
-        annulus_balls = []
-        r_cap = 2.0 ** (k - 1)
-        for key in sorted(candidates):
-            c = candidates[key]
-            ac = abs(c)
-            dist, cum = _distance_profile(mu, c)
-            if beta > 0:
-                m_val = _profile_sup(dist, cum, beta)
-            else:
-                m_val = mass
-            if not m_val > lam / ac**beta:
-                continue
-            witness = _witness_radius(c, beta, lam, dist, cum)
-            if witness is None:
-                continue
-            annulus_balls.append((c, min(witness, r_cap)))
-
+        annulus_balls = _witness_balls(
+            mu, params, _annulus_candidates(mu, k), 2.0 ** (k - 1)
+        )
         annulus_balls.sort(key=lambda cr: (-cr[1], cr[0].real, cr[0].imag))
         kept = []
         for c, r in annulus_balls:
@@ -224,6 +310,7 @@ class CoverCertificationError(RuntimeError):
 @dataclass(frozen=True)
 class CertificationReport:
     samples: int
+    attempts: int  # draws up to the one that filled the sample set
     violation_count: int
     violations: Tuple[Tuple[complex, float, float], ...]  # (z, M value, threshold)
     worst_ratio: float
@@ -240,42 +327,58 @@ def certify_complement(
 ) -> CertificationReport:
     """Rejection-sample points outside the cover with 2 <= |z| <= radius_range
     and assert M(dmu)(z) <= lambda/|z|^beta at each; raises on any violation.
+
+    Draws come in blocks from rng.random((k, 2)), mapped with the arithmetic
+    of Generator.uniform, so the sample set is the one that alternating
+    uniform(log 2, log radius_range) and uniform(0, 2 pi) calls would draw.
     """
     if radius_range is None:
         radius_range = cover.guarantee_radius
     if radius_range < 2.0:
         raise ParameterError("radius range must be >= 2")
     rng = np.random.default_rng(seed)
+    beta, lam = params.beta, params.lam
     collected = 0
     attempts = 0
     max_attempts = 1000 * samples + 10_000
+    violation_count = 0
     violations = []
     worst = 0.0
     log_lo, log_hi = math.log(2.0), math.log(radius_range)
+    log_span, two_pi = log_hi - log_lo, 2.0 * math.pi
     while collected < samples:
-        attempts += 1
-        if attempts > max_attempts:
+        if attempts == max_attempts:
             raise ParameterError(
                 "could not draw enough points outside the cover; it covers "
                 "nearly all of the sampling region"
             )
-        r = math.exp(rng.uniform(log_lo, log_hi))
-        theta = rng.uniform(0.0, 2.0 * math.pi)
-        z = complex(r * math.cos(theta), r * math.sin(theta))
-        if cover.contains(z):
-            continue
-        collected += 1
-        m_val = maximal_function(mu, z, params.beta)
-        threshold = params.lam / abs(z) ** params.beta
-        ratio = m_val / threshold if threshold > 0 else math.inf
-        if ratio > worst:
-            worst = ratio
-        if m_val > threshold:
-            violations.append((z, m_val, threshold))
+        k = min(_DRAW_BLOCK, max_attempts - attempts)
+        zs = []
+        for u_r, u_theta in rng.random((k, 2)).tolist():
+            # math.exp/cos/sin, not np.exp/cos/sin, which may differ in the last ulp
+            r = math.exp(log_lo + log_span * u_r)
+            theta = two_pi * u_theta
+            zs.append(complex(r * math.cos(theta), r * math.sin(theta)))
+        # draws past the one that fills the sample set are not attempts
+        need = samples - collected
+        outside = np.flatnonzero(~cover.contains_many(zs))[:need]
+        attempts += int(outside[-1]) + 1 if len(outside) == need else k
+        collected += len(outside)
+        accepted = [zs[i] for i in outside]
+        for z, m_val in zip(accepted, maximal_function_many(mu, accepted, beta).tolist()):
+            threshold = lam / abs(z) ** beta
+            ratio = m_val / threshold if threshold > 0 else math.inf
+            if ratio > worst:
+                worst = ratio
+            if m_val > threshold:
+                violation_count += 1
+                if len(violations) < 100:
+                    violations.append((z, m_val, threshold))
     report = CertificationReport(
         samples=collected,
-        violation_count=len(violations),
-        violations=tuple(violations[:100]),
+        attempts=attempts,
+        violation_count=violation_count,
+        violations=tuple(violations),
         worst_ratio=worst,
         seed=seed,
     )

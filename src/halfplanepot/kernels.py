@@ -26,6 +26,7 @@ from typing import Tuple, Union
 
 from .core import (
     DomainError,
+    NumericalFailure,
     SingularityError,
     as_boundary,
     as_interior,
@@ -140,7 +141,9 @@ def modified_green(
         G_m = -(1/pi) sum_{k=m+1}^{oo} t^k sin(k th_z) sin(k th_zeta) / k,
 
     truncated when the geometric remainder bound t^{k+1}/((k+1)(1-t)) drops
-    below 1e-16 of the leading-term scale.
+    below 1e-16 of the leading-term scale.  If that takes more than 4000
+    terms, which cannot happen at t <= 1/2, NumericalFailure carries the
+    partial sum and the last remainder bound (both divided by pi).
     """
     zc = as_interior(z)
     zetac = as_upper(zeta)
@@ -185,8 +188,13 @@ def modified_green(
         remainder = tk * t / ((k + 1) * (1.0 - t))
         if remainder <= _TAIL_EPS * max(abs(acc), lead_scale):
             break
-        if k > mm + 4000:  # unreachable for t <= 1/2; hard stop
-            break
+        if k > mm + 4000:  # unreachable for t <= 1/2
+            raise NumericalFailure(
+                f"tail series of G_m did not converge in 4000 terms "
+                f"(|z|/|zeta| = {t})",
+                acc / PI,
+                remainder / PI,
+            )
     return acc / PI
 
 

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from halfplanepot import (
     DomainError,
+    NumericalFailure,
     SingularityError,
     fundamental_solution,
     green,
@@ -20,6 +21,7 @@ from halfplanepot import (
     poisson,
     poisson_tail_envelope,
 )
+from halfplanepot import kernels
 from halfplanepot.kernels import EvalMode
 
 TWO_PI = 2 * math.pi
@@ -186,6 +188,16 @@ class TestModifiedGreen:
     def test_singularity(self):
         with pytest.raises(SingularityError):
             modified_green(2j, 2j, 1)
+
+    def test_tail_hard_stop_raises(self, monkeypatch):
+        converged = modified_green(1j, 4j, 1, EvalMode.TAIL)
+        monkeypatch.setattr(kernels, "_TAIL_EPS", -1.0)  # never met: run to the stop
+        with pytest.raises(NumericalFailure) as exc:
+            modified_green(1j, 4j, 1, EvalMode.TAIL)
+        # after 4001 terms at ratio 1/4 the partial sum is the converged
+        # value, and the remainder bound (1/4)^4003 / (4003 * 3/4) underflows
+        assert math.isclose(exc.value.value, converged, rel_tol=1e-15)
+        assert exc.value.estimate == 0.0
 
 
 class TestPoisson:
