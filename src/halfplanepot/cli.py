@@ -270,7 +270,7 @@ def _cmd_verify(args) -> int:
             (
                 s.x,
                 s.y,
-                (s.x**2 + s.y**2) ** 0.5,
+                math.hypot(s.x, s.y),
                 s.v,
                 s.h,
                 s.u,

@@ -168,7 +168,7 @@ class PowerDensity:
         return (0.0,)
 
     def support_radius(self) -> float:
-        return math.inf
+        return 0.0 if self.scale == 0.0 else math.inf
 
     def norm_finite(self, m: int) -> Tuple[bool, str]:
         if self.scale == 0.0:
@@ -178,21 +178,6 @@ class PowerDensity:
         if self.s <= -1:
             return False, f"power density with s={self.s} <= -1 diverges at the origin"
         return True, ""
-
-    def tail_norm_bound(self, m: int, radius: float) -> float:
-        """Upper bound for the weighted-norm integrand mass beyond |xi| > radius.
-
-        Requires radius >= 1 so 1 + t^{2+m} >= t^{2+m} gives the closed form.
-        """
-        ok, _ = self.norm_finite(m)
-        if not ok:
-            return math.inf
-        if self.scale == 0.0:
-            return 0.0
-        if radius < 1.0:
-            raise ParameterError("power tail bound needs radius >= 1")
-        p = self.s - m - 1.0
-        return 2.0 * abs(self.scale) * radius**p / (m + 1.0 - self.s)
 
 
 @dataclass(frozen=True)
@@ -219,11 +204,6 @@ class IndicatorDensity:
 
     def norm_finite(self, m: int) -> Tuple[bool, str]:
         return True, ""
-
-    def tail_norm_bound(self, m: int, radius: float) -> float:
-        if radius >= self.support_radius():
-            return 0.0
-        return 2.0 * abs(self.height) * radius ** -(m + 1.0) / (m + 1.0)
 
 
 @dataclass(frozen=True)
@@ -266,12 +246,6 @@ class TabulatedDensity:
 
     def norm_finite(self, m: int) -> Tuple[bool, str]:
         return True, ""
-
-    def tail_norm_bound(self, m: int, radius: float) -> float:
-        if radius >= self.support_radius():
-            return 0.0
-        peak = max(abs(v) for _, v in self.knots)
-        return 2.0 * peak * radius ** -(m + 1.0) / (m + 1.0)
 
 
 BoundaryDensity = Union[PowerDensity, IndicatorDensity, TabulatedDensity]
@@ -335,10 +309,13 @@ class DiscreteMeasure:
     def mass_functional(self, m: Union[KernelOrder, int]) -> float:
         """Sum of w * eta / (1 + |zeta|^{2+m}); realizes the measure condition exactly."""
         mm = as_order(m)
-        return math.fsum(
-            w * p.eta / (1.0 + abs(p) ** (2 + mm))
-            for p, w in zip(self.points, self.weights)
-        )
+        terms = []
+        for p, w in zip(self.points, self.weights):
+            try:
+                terms.append(w * p.eta / (1.0 + abs(p) ** (2 + mm)))
+            except OverflowError:  # |zeta|^{2+m} is past the float range, 1 is below its ulp
+                terms.append(w * (p.eta / abs(p)) * abs(p) ** -(1 + mm))
+        return math.fsum(terms)
 
     def concat(self, other: "DiscreteMeasure") -> "DiscreteMeasure":
         return DiscreteMeasure(self.points + other.points, self.weights + other.weights)
@@ -386,7 +363,8 @@ class CoverParams:
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Error control for the adaptive quadrature engine."""
+    """Error control for the adaptive quadrature engine; initial_truncation
+    is the floor of the truncation radius T of the Poisson and norm integrals."""
 
     abs_tol: float = 1e-9
     rel_tol: float = 1e-9

@@ -269,8 +269,8 @@ def modified_poisson(
 
 # ---------------------------------------------------------------------------
 # Magnitude envelopes (analytic upper bounds for |P_m| and |G_m| in the tail
-# region).  Used by the truncation certificate and as the reference scale for
-# the dual-path consistency checks.
+# region).  The package computes nothing from them: they are the reference
+# scale of the dual-path consistency checks.
 # ---------------------------------------------------------------------------
 
 

@@ -1,14 +1,16 @@
 """Poisson integrals, Green potentials, and the hypothesis norms.
 
-v(z) integrates the modified Poisson kernel against a boundary density with
-a certificate-based truncation: the radius T is doubled until an analytic
-bound on the discarded tail drops below half the tolerance, so the reported
-error estimate (quadrature estimate + tail bound) is trustworthy for the
-growth harness.  h(z) is a finite sum over the measure's atoms.
+v(z) integrates the modified Poisson kernel against a boundary density over
+[-T, T] for one radius T >= 2|z| + 1 covering the density's support, and
+adds the part beyond T in closed form: zero for compact support, a series
+for power densities.  The error estimate is the quadrature estimate plus a
+bound on the series' remainder and rounding.  h(z) is a finite sum over the
+measure's atoms.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from typing import Union
@@ -19,6 +21,7 @@ from .core import (
     DomainError,
     KernelOrder,
     NumericalFailure,
+    PowerDensity,
     QuadratureSpec,
     SingularityError,
     as_interior,
@@ -28,8 +31,7 @@ from .kernels import modified_green, modified_poisson
 from .quadrature import integrate, one_shot
 
 PI = math.pi
-
-_MAX_TRUNCATION = 1e305
+_EPS = 2.0**-52  # the spacing of doubles at 1
 
 
 @dataclass(frozen=True)
@@ -56,23 +58,9 @@ class PotentialValue:
     tail_bound: float
 
 
-def kernel_tail_sup_bound(z: complex, m: int, radius: float) -> float:
-    """sup over |xi| >= radius of |P_m(z, xi)| (1 + |xi|^{2+m}).
-
-    Needs radius >= max(2, 2|z|).  Both factors of the bound
-    (1 + R^{-(m+2)}) and R/(R - |z|) decrease in R, so the sup is taken at
-    R = radius.
-    """
-    az = abs(z)
-    if radius < 2.0 or radius < 2.0 * az:
-        raise DomainError("kernel tail bound needs radius >= max(2, 2|z|)")
-    return az ** (m + 1) * (1.0 + radius ** -(m + 2)) * radius / (PI * (radius - az))
-
-
-def _breakpoints(z: complex, radius: float, density: BoundaryDensity):
+def _breakpoints(z: complex, T: float, density: BoundaryDensity):
     """Panel seeds: peak ladder around x at scale y, kernel kinks at +-1,
-    density kinks, and a dyadic ladder out to the truncation radius."""
-    T = radius
+    density kinks, and a dyadic ladder out to the truncation radius T."""
     pts = {-T, T}
     for p in (-1.0, 1.0, *density.breakpoints()):
         if -T < p < T:
@@ -96,38 +84,78 @@ def _breakpoints(z: complex, radius: float, density: BoundaryDensity):
     return sorted(pts)
 
 
-def _truncated_integral(density, integrand, quad, start, center, tail_bound):
-    """Integrate over [-T, T], doubling T from start (or the support radius,
-    if larger) until tail_bound(T) clears half the tolerance; returns the
-    quadrature result, the final tail bound and T.  Panels are seeded around
-    center.
-    """
-    T = start
-    sup = density.support_radius()
-    if math.isfinite(sup):
-        T = max(T, sup)
-    coarse = one_shot(integrand, _breakpoints(center, T, density))
-    tol = max(quad.abs_tol, quad.rel_tol * abs(coarse))
+def _series(lead, q, d0, dd, weight, ulps):
+    """(sum, bound) of sum_{n>=0} weight(n) lead q^n / (d0 + n dd) for lead >= 0,
+    0 <= q <= 1/4, d0, dd > 0 and |weight(n)| <= 1.  The remainder after term
+    n is at most the next magnitude over 1 - q; the sum stops once that is
+    below eps of the summed magnitudes.  The bound adds (ulps + 16 n) eps per
+    unit of summed magnitude for rounding: ulps for the first term, 16 for
+    each further power of q and weight."""
+    acc = mag = 0.0
+    power, n = lead, 0
     while True:
-        tail = tail_bound(T)
-        if tail <= 0.5 * tol:
-            break
-        if T > _MAX_TRUNCATION:
-            raise NumericalFailure(
-                f"tail certificate cannot reach {0.5 * tol:.3e} within the "
-                f"floating-point range (still {tail:.3e} at T={T:.3e})",
-                coarse,
-                tail,
-            )
-        T *= 2.0
-    res = integrate(
-        integrand,
-        _breakpoints(center, T, density),
-        abs_tol=0.5 * tol,
-        rel_tol=0.0,
-        max_depth=quad.max_depth,
+        size = power / (d0 + n * dd)
+        acc += weight(n) * size
+        mag += size
+        power *= q
+        rest = power / ((d0 + (n + 1) * dd) * (1.0 - q))
+        if rest <= _EPS * mag:
+            return acc, rest + (ulps + 16.0 * n) * _EPS * mag
+        n += 1
+
+
+def _power_poisson_tail(density: PowerDensity, z: complex, m: int, T: float):
+    """(value, bound) of the part of v(z) from |xi| > T >= 2|z| + 1.
+
+    There P_m(z, xi) = (1/pi) Im sum_{k>m} z^k / xi^{k+1}; the even k cancel
+    between xi and -xi, leaving (2 scale / pi) sum_{k odd, k > m} of
+    Im(z^k) T^{s-k} / (k - s) = |z|^s (|z|/T)^{k-s} sin(k th) / (k - s),
+    in polar form so that no power overflows.
+    """
+    s, k0 = density.s, m + 1 + m % 2
+    t, th = abs(z) / T, cmath.phase(z)
+    value, bound = _series(
+        abs(z) ** s * t ** (k0 - s), t * t, k0 - s, 2.0,
+        lambda n: math.sin((k0 + 2 * n) * th), 8.0 * k0,
     )
-    return res, tail, T
+    c = 2.0 * density.scale / PI
+    return c * value, abs(c) * bound
+
+
+def _power_norm_tail(density: PowerDensity, m: int, T: float):
+    """(value, bound) of the weighted norm integral from |xi| > T >= 2.
+
+    There 1/(1 + xi^p) = sum_{j>=0} (-1)^j xi^{-p(j+1)} with p = m + 2, so
+    the part is 2 |scale| sum_{j>=0} (-1)^j T^{s+1-p(j+1)} / (p(j+1) - s - 1).
+    The rounding of the exponent s + 1 - p costs ln T eps per unit of it.
+    """
+    s, p = density.s, m + 2
+    value, bound = _series(
+        T ** (s + 1.0 - p), T**-p, p - s - 1.0, float(p),
+        lambda n: -1.0 if n % 2 else 1.0, 8.0 + (abs(s) + p + 1.0) * math.log(T),
+    )
+    c = 2.0 * abs(density.scale)
+    return c * value, c * bound
+
+
+def _truncated_integral(density, integrand, quad, start, center, tail):
+    """Integrate over [-T, T], T = max(start, support radius), seeding panels
+    around center, and add the part beyond T: tail(T) = (value, bound) for
+    unbounded support (a power density of nonzero scale), else zero.  The
+    coarse pass fixes the tolerance; half goes to the quadrature and the tail
+    bound must fit in the other half.
+    """
+    sup = density.support_radius()
+    T = start if math.isinf(sup) else max(start, sup)
+    tail_value, tail_bound = tail(T) if math.isinf(sup) else (0.0, 0.0)
+    pts = _breakpoints(center, T, density)
+    coarse = one_shot(integrand, pts)
+    tol = max(quad.abs_tol, quad.rel_tol * abs(coarse))
+    if not tail_bound <= 0.5 * tol:
+        msg = f"tail bound {tail_bound:.3e} beyond T={T:.3e} exceeds half the tolerance"
+        raise NumericalFailure(f"{msg}, {0.5 * tol:.3e}", coarse + tail_value, tail_bound)
+    res = integrate(integrand, pts, abs_tol=0.5 * tol, rel_tol=0.0, max_depth=quad.max_depth)
+    return PoissonIntegralResult(res.value + tail_value, res.error, tail_bound, T, res.panels)
 
 
 def poisson_integral(
@@ -139,7 +167,7 @@ def poisson_integral(
     """v(z): the density integrated against P_m(z, .) over the real line.
 
     The effective tolerance is max(abs_tol, rel_tol * coarse magnitude); half
-    of it budgets the truncation certificate, half the adaptive quadrature.
+    of it budgets the adaptive quadrature over [-T, T], half the part beyond T.
     """
     zc = as_interior(z)
     mm = as_order(m)
@@ -153,15 +181,10 @@ def poisson_integral(
             return 0.0
         return modified_poisson(zc, xi, mm) * fv
 
-    res, tail, T = _truncated_integral(
-        density,
-        integrand,
-        quad,
-        max(quad.initial_truncation, 2.0 * abs(zc) + 1.0, 2.0),
-        zc,
-        lambda T: kernel_tail_sup_bound(zc, mm, T) * density.tail_norm_bound(mm, T),
+    start = max(quad.initial_truncation, 2.0 * abs(zc) + 1.0, 2.0)
+    return _truncated_integral(
+        density, integrand, quad, start, zc, lambda T: _power_poisson_tail(density, zc, mm, T)
     )
-    return PoissonIntegralResult(res.value, res.error, tail, T, res.panels)
 
 
 def density_norm(
@@ -181,15 +204,10 @@ def density_norm(
             return 0.0
         return abs(fv) / (1.0 + abs(xi) ** (2 + mm))
 
-    res, _tail, _T = _truncated_integral(
-        density,
-        integrand,
-        quad,
-        max(quad.initial_truncation, 2.0),
-        complex(0.0, 1.0),
-        lambda T: density.tail_norm_bound(mm, T),
-    )
-    return res.value
+    start = max(quad.initial_truncation, 2.0)
+    return _truncated_integral(
+        density, integrand, quad, start, 1j, lambda T: _power_norm_tail(density, mm, T)
+    ).value
 
 
 def green_potential(

@@ -135,10 +135,19 @@ class TestSolveCommand:
 
     @pytest.mark.parametrize("command", ["solve", "verify"])
     def test_numerical_failure_exit_2(self, tmp_path, capsys, command):
-        # the density's tail decays too slowly for any truncation to certify
-        cfg = write_scenario(tmp_path, m=1, density={"family": "power", "s": 1.999})
+        # no panel list at depth 8 reaches a 1e-300 tolerance: the quadrature stalls
+        cfg = write_scenario(
+            tmp_path, quadrature={"abs_tol": 1e-300, "rel_tol": 1e-300, "max_depth": 8}
+        )
         assert main([command, "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 2
-        assert "numerical failure at z=" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "numerical failure at z=" in err
+        assert "quadrature stalled" in err
+
+    def test_distant_atom_at_order_32(self, tmp_path, capsys):
+        # |zeta|^{m+2} = 1e340 overflows a float; the atom's mass term underflows
+        cfg = write_scenario(tmp_path, m=32, measure={"atoms": [[0.0, 1e10, 1.0]]})
+        assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 0
 
     def test_cells_match_verify(self, tmp_path, capsys):
         # solve and verify evaluate the same grid through one code path
@@ -155,9 +164,9 @@ class TestSolveCommand:
         assert main(["solve", "--config", str(cfg), "--out", str(solve_out)]) == 0
         main(["verify", "--config", str(cfg), "--out", str(verify_out), "--cert-samples", "200"])
 
-        def cells(path):  # x, y, v, h, u
+        def cells(path):  # x, y, abs_z, v, h, u
             rows = [line.split(",") for line in path.read_text().splitlines()[1:]]
-            return [(r[0], r[1], r[3], r[4], r[5]) for r in rows]
+            return [tuple(r[:6]) for r in rows]
 
         assert len(cells(solve_out)) == 9
         assert cells(solve_out) == cells(verify_out)

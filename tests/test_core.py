@@ -112,6 +112,17 @@ class TestDiscreteMeasure:
         )
         assert math.isclose(mu.mass_functional(m), hand, rel_tol=1e-15, abs_tol=1e-300)
 
+    def test_mass_functional_distant_atom_at_order_32(self):
+        # |zeta|^{34} = 1e340 overflows a float; the term, about 1e-330,
+        # underflows to 0 instead
+        far = DiscreteMeasure.from_triples([(0.0, 1e10, 1.0)])
+        assert far.mass_functional(32) == 0.0
+        near = DiscreteMeasure.from_triples([(0.0, 1.0, 1.0)])
+        assert far.concat(near).mass_functional(32) == near.mass_functional(32) == 0.5
+        # past the overflow the term is still w eta / |zeta|^{2+m} where representable
+        huge = DiscreteMeasure.from_triples([(0.0, 1e160, 2.0)])
+        assert math.isclose(huge.mass_functional(0), 2e-160, rel_tol=1e-15)
+
     def test_concat(self):
         a = DiscreteMeasure.from_triples([(0.0, 1.0, 1.0)])
         b = DiscreteMeasure.from_triples([(1.0, 2.0, 3.0)])

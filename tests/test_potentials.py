@@ -1,5 +1,7 @@
+import cmath
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given
@@ -22,6 +24,7 @@ from halfplanepot import (
     poisson_integral,
     subharmonic_eval,
 )
+from halfplanepot.potentials import _power_norm_tail, _power_poisson_tail
 
 TIGHT = QuadratureSpec(abs_tol=1e-9, rel_tol=1e-12)
 
@@ -53,6 +56,95 @@ class TestInteriorPoint:
         for z in (complex(math.nan, 1.0), complex(0.0, math.inf)):
             with pytest.raises(ValueError):
                 INTERIOR_ENTRY_POINTS[entry](z)
+
+
+def v_oracle(f: PowerDensity, z: complex, m: int) -> float:
+    """v(z) for f = scale |xi|^s at 20 digits.
+
+    [-T, T], T = max(2|z|, 2), by tanh-sinh quadrature with breakpoints at
+    the kinks and around the peak at x; beyond T the closed form
+    (2 scale / pi) sum_{k odd, k > m} Im(z^k) T^{s-k} / (k - s).  For
+    |xi| > 1 the kernel is (1/pi) Im((z/xi)^{m+1} / (xi - z)), the subtracted
+    form without its cancellation.
+    """
+    s = f.s
+    with mp.workdps(20):
+        zz = mp.mpc(z.real, z.imag)
+        x, y = zz.real, zz.imag
+        zm = zz ** (m + 1)
+
+        def integrand(xi):
+            if abs(xi) > 1:
+                p = mp.im(zm / (xi ** (m + 1) * (xi - zz)))
+            else:
+                p = y / ((x - xi) ** 2 + y * y)
+            return p * abs(xi) ** s
+
+        T = max(2.0 * abs(z), 2.0)
+        pts = {-T, -1.0, 0.0, 1.0, T}
+        for d in (0.0, 1.0, 4.0, 16.0, 64.0):
+            pts.update(p for p in (z.real - d * z.imag, z.real + d * z.imag) if -T < p < T)
+        inner = mp.quad(integrand, sorted(mp.mpf(p) for p in pts))
+        tail, k = mp.mpf(0), m + 1 + m % 2
+        while True:
+            term = 2 * mp.im(zz**k) * mp.mpf(T) ** (s - k) / (k - s)
+            tail += term
+            if abs(term) <= mp.mpf(10) ** -25 * abs(tail) or term == 0:
+                break
+            k += 2
+        return float(f.scale * (inner + tail) / mp.pi)
+
+
+def mp_tail(integrand, T: float, a: float) -> float:
+    """int_T^oo integrand(xi) dxi at 30 digits for an integrand ~ xi^{-1-a}:
+    xi = T w^{-1/a} maps it to a smooth integrand on (0, 1]."""
+    with mp.workdps(30):
+        T = mp.mpf(T)
+        return float(
+            mp.quad(lambda w: integrand(T * w ** (-1 / a)) * T / a * w ** (-1 / a - 1), [0, 1])
+        )
+
+
+class TestPowerTails:
+    @pytest.mark.parametrize(
+        "s,m,z",
+        [
+            (1.5, 1, 3 + 4j),
+            (-0.5, 0, 0.1j),
+            (1.999, 1, cmath.rect(30.0, math.pi - 1e-3)),
+            (5.5, 6, cmath.rect(1e4, 1e-3)),
+            (0.0, 32, 2 + 0.5j),
+        ],
+    )
+    def test_poisson_tail_against_mpmath(self, s, m, z):
+        # int_{|xi| > T} P_m(z, xi) scale |xi|^s dxi, directly
+        T = max(8.0, 2 * abs(z) + 1)
+        f = PowerDensity(s, -1.5)
+        value, bound = _power_poisson_tail(f, z, m, T)
+        zz = mp.mpc(z.real, z.imag)
+        kern = lambda xi: mp.im((zz / xi) ** (m + 1) / (xi - zz)) / mp.pi
+        ref = f.scale * mp_tail(
+            lambda xi: (kern(xi) + kern(-xi)) * xi**s, T, m + 1 + m % 2 - s
+        )
+        assert abs(value - ref) <= bound
+
+    @pytest.mark.parametrize(
+        "s,m,T", [(1.5, 1, 8.0), (-0.5, 0, 2.0), (5.5, 6, 3.0), (1.999, 1, 8.0), (0.5, 1, 1e4)]
+    )
+    def test_norm_tail_against_mpmath(self, s, m, T):
+        # int_{|xi| > T} |scale| |xi|^s / (1 + |xi|^{m+2}) dxi, directly
+        f = PowerDensity(s, -1.5)
+        value, bound = _power_norm_tail(f, m, T)
+        ref = 1.5 * mp_tail(lambda xi: 2 * xi**s / (1 + xi ** (m + 2)), T, m + 1 - s)
+        assert abs(value - ref) <= bound
+
+    def test_zero_scale_has_no_tail(self):
+        # scale 0 passes the norm condition for any s; its support is empty
+        f = PowerDensity(7.0, 0.0)
+        assert f.support_radius() == 0.0
+        res = poisson_integral(f, 1j, 1)
+        assert (res.value, res.tail_bound, res.truncation) == (0.0, 0.0, 8.0)
+        assert density_norm(f, 1) == 0.0
 
 
 def indicator_poisson_closed_form(z: complex, a: float, b: float, height: float) -> float:
@@ -159,10 +251,48 @@ class TestPoissonIntegral:
         res = poisson_integral(IndicatorDensity(-1.0, 1.0, 1.0), 1j, KernelOrder(0), TIGHT)
         assert abs(res.value - 0.5) < 1e-6
 
-    def test_truncation_failure(self):
-        # the tail decays like T^-0.001: no radius below 1e305 certifies it
-        with pytest.raises(NumericalFailure):
-            poisson_integral(PowerDensity(1.999), 3 + 4j, 1)
+    def test_slowly_decaying_power(self):
+        # f = |xi|^1.999 at m = 1: the part beyond T decays like T^-0.001,
+        # and its closed form carries it
+        z = 3 + 4j
+        res = poisson_integral(PowerDensity(1.999), z, 1)
+        assert res.truncation == 11.0
+        ref = v_oracle(PowerDensity(1.999), z, 1)
+        assert abs(res.value - ref) <= res.error_estimate
+
+    def test_one_truncation_radius(self):
+        # T is max(initial_truncation, 2|z| + 1, 2, support radius), not searched for
+        assert poisson_integral(PowerDensity(1.5), 1j, 1).truncation == 8.0
+        assert poisson_integral(PowerDensity(1.5), 30 + 40j, 1).truncation == 101.0
+        q = QuadratureSpec(initial_truncation=500.0)
+        assert poisson_integral(PowerDensity(1.5), 30 + 40j, 1, q).truncation == 500.0
+        wide = TabulatedDensity(((-40.0, 0.0), (-10.0, 3.0), (25.0, 1.0), (60.0, 0.0)))
+        res = poisson_integral(wide, 2.0 + 1.5j, 0)
+        assert res.truncation == 60.0 and res.tail_bound == 0.0
+
+    def test_tail_bound_beyond_tolerance(self):
+        # a 1e-300 tolerance leaves no room for the rounding of the tail series
+        absurd = QuadratureSpec(abs_tol=1e-300, rel_tol=1e-300)
+        with pytest.raises(NumericalFailure, match="tail bound"):
+            poisson_integral(PowerDensity(1.5), 3 + 4j, 1, absurd)
+        with pytest.raises(NumericalFailure, match="tail bound"):
+            density_norm(PowerDensity(1.5), 1, absurd)
+
+    def test_error_estimate_honest_against_mpmath(self):
+        # |v - v_mpmath| <= quad_error + tail_bound over s, m and |z| = 0.1 .. 1e4,
+        # on the rays near 0, at pi/2 and near pi (each (s, m) meets every
+        # radius and, across pairs, every ray)
+        q = QuadratureSpec(abs_tol=1e-9, rel_tol=1e-7)
+        rays = (1e-3, math.pi / 2, math.pi - 1e-3)
+        pairs = [(s, m) for s in (-0.5, 0.0, 1.5, 1.999, 5.5) for m in (0, 1, 2, 6, 32) if s < m + 1]
+        assert len(pairs) == 20
+        for i, (s, m) in enumerate(pairs):
+            for j, r in enumerate((0.1, 3.0, 1e4)):
+                z = cmath.rect(r, rays[(i + j) % 3])
+                f = PowerDensity(s, 1.0 if i % 2 else -2.5)
+                res = poisson_integral(f, z, m, q)
+                ref = v_oracle(f, z, m)
+                assert abs(res.value - ref) <= res.error_estimate, (s, m, z)
 
     def test_harmonicity_of_v(self):
         # 5-point Laplacian at step 1e-2 below 1e-3 of the local value
@@ -200,9 +330,13 @@ class TestDensityNorm:
             exact = 2 * (math.pi / (2 + m)) / math.sin(math.pi * (s + 1) / (2 + m))
             assert abs(val - exact) <= 1e-6 * exact
 
-    def test_truncation_failure(self):
-        with pytest.raises(NumericalFailure):
-            density_norm(PowerDensity(1.999), 1)
+    def test_slowly_decaying_power(self):
+        # the s = 1.999, m = 1 integrand decays like |xi|^-1.001; its value is
+        # about 2000, nearly all of it from beyond T
+        s, m = 1.999, 1
+        val = density_norm(PowerDensity(s), m)
+        exact = 2 * (math.pi / (2 + m)) / math.sin(math.pi * (s + 1) / (2 + m))
+        assert abs(val - exact) <= 1e-6 * exact
 
     def test_tabulated(self):
         # hat function on [-1, 1]: f = 1 - |xi|; oracle by dense trapezoid

@@ -1,26 +1,81 @@
 import math
+import sys
 
+import mpmath as mp
 import numpy as np
 import pytest
 
 from halfplanepot import NumericalFailure
-from halfplanepot.quadrature import _gk15, integrate, one_shot
+from halfplanepot.quadrature import _WG, _WGK, _XGK, _gk15, integrate, one_shot
+
+U = sys.float_info.epsilon / 2  # unit roundoff
+
+
+def rule(nodes, weights):
+    """The symmetric rule's (node, weight) pairs on [-1, 1], as exact mpf."""
+    out = []
+    for x, w in zip(nodes, weights):
+        out.append((mp.mpf(x), mp.mpf(w)))
+        if x != 0.0:
+            out.append((-mp.mpf(x), mp.mpf(w)))
+    return out
+
+
+KRONROD = rule(_XGK, _WGK)
+GAUSS = rule(_XGK[1::2], _WG)
 
 
 class TestRuleExactness:
     @pytest.mark.parametrize("deg", range(0, 21))
     def test_kronrod_exact_on_polynomials(self, deg):
-        # K15 integrates polynomials up to degree 22 exactly (rule constants
-        # carry ~15 digits, so ask for 5e-14 relative)
+        # K15 integrates polynomials up to degree 22 exactly (x**deg and the
+        # sums round, so ask for 5e-14 relative)
         val, _err = _gk15(lambda x: x**deg, 0.0, 1.0)
         exact = 1.0 / (deg + 1)
         assert math.isclose(val, exact, rel_tol=5e-14)
 
     def test_gauss_error_estimate_zero_for_low_degree(self):
-        # G7 exact through degree 13, so |K - G| collapses to the noise of
-        # the 15-digit rule constants for a cubic
+        # G7 exact through degree 13, so |K - G| collapses to rounding noise
+        # for a cubic
         _val, err = _gk15(lambda x: x**3 - 2 * x + 1, -1.0, 2.0)
         assert err < 1e-13
+
+
+class TestRuleConstants:
+    """The stored doubles are the rules' constants to rounding: each node and
+    weight within one unit roundoff U, so a moment sum_i w_i x_i^k misses
+    2/(k+1) by at most about (k + 1) U sum_i |w_i x_i^k|.  Constants cut to
+    15 significant digits miss by up to 50 times that."""
+
+    @staticmethod
+    def moment_gap(pairs, k):
+        with mp.workdps(40):
+            exact = mp.mpf(2) / (k + 1) if k % 2 == 0 else mp.mpf(0)
+            got = mp.fsum(w * x**k for x, w in pairs)
+            scale = mp.fsum(abs(w * x**k) for x, w in pairs)
+            return float(abs(got - exact) / ((k + 1) * U * scale))
+
+    def test_sizes(self):
+        assert len(KRONROD) == 15 and len(GAUSS) == 7
+        assert {x for x, _ in GAUSS} <= {x for x, _ in KRONROD}
+
+    @pytest.mark.parametrize("k", range(0, 23))
+    def test_kronrod_exact_through_degree_22(self, k):
+        assert self.moment_gap(KRONROD, k) <= 2.0
+
+    @pytest.mark.parametrize("k", range(0, 14))
+    def test_gauss_exact_through_degree_13(self, k):
+        assert self.moment_gap(GAUSS, k) <= 2.0
+
+    def test_weights_sum_to_two(self):
+        for pairs in (KRONROD, GAUSS):
+            with mp.workdps(40):
+                assert abs(mp.fsum(w for _, w in pairs) - 2) <= 2 * U
+
+    def test_degree_23_is_not_exact(self):
+        # the moment test is sharp: K15 misses x^24 by far more than rounding
+        assert self.moment_gap(KRONROD, 24) > 1e6
+        assert self.moment_gap(GAUSS, 14) > 1e6
 
 
 class TestAdaptivity:
