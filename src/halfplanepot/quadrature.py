@@ -13,7 +13,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from .core import NumericalFailure
 
@@ -54,7 +54,7 @@ class QuadResult:
     value: float
     error: float
     panels: int
-    evals: int
+    evals: int  # integrand evaluations made by this call
 
 
 def _gk15(f: Callable[[float], float], a: float, b: float):
@@ -81,29 +81,37 @@ def integrate(
     abs_tol: float,
     rel_tol: float = 0.0,
     max_depth: int = 60,
+    *,
+    first_pass: Optional[Sequence[Tuple[float, float]]] = None,
 ) -> QuadResult:
     """Integrate f over [breakpoints[0], breakpoints[-1]].
 
     Refines until the summed per-panel error estimate is below
     max(abs_tol, rel_tol * |value|); raises NumericalFailure (carrying the
     best value and estimate) if every remaining panel has hit max_depth.
+    first_pass is one_shot(f, breakpoints) when the caller has it already;
+    its panels are then not evaluated again.
     """
     pts = sorted(set(float(p) for p in breakpoints))
     if len(pts) < 2:
         raise ValueError("need at least two breakpoints")
+    initial = [(a, b) for a, b in zip(pts, pts[1:]) if b > a]
+    evals = 0
+    if first_pass is None:
+        first_pass = one_shot(f, pts)
+        evals = 15 * len(initial)
+    if len(first_pass) != len(initial):
+        raise ValueError(f"first pass has {len(first_pass)} panels, expected {len(initial)}")
 
     heap = []  # (-err, seq, a, b, depth, value, err)
     frozen = []  # panels at max_depth: (a, b, value, err)
     seq = 0
     total_value = 0.0
     total_error = 0.0
-    evals = 0
     width_floor = 1e-15
 
-    def push(a, b, depth):
-        nonlocal seq, total_value, total_error, evals
-        val, err = _gk15(f, a, b)
-        evals += 15
+    def push(a, b, depth, val, err):
+        nonlocal seq, total_value, total_error
         total_value += val
         total_error += err
         if depth >= max_depth or (b - a) < width_floor * max(1.0, abs(a), abs(b)):
@@ -112,9 +120,8 @@ def integrate(
             heapq.heappush(heap, (-err, seq, a, b, depth, val, err))
         seq += 1
 
-    for a, b in zip(pts, pts[1:]):
-        if b > a:
-            push(a, b, 0)
+    for (a, b), (val, err) in zip(initial, first_pass):
+        push(a, b, 0, val, err)
 
     def finish():
         live = [(a, b, v, e) for (_, _, a, b, _, v, e) in heap] + frozen
@@ -151,11 +158,15 @@ def integrate(
         total_value -= val
         total_error -= err
         mid = 0.5 * (a + b)
-        push(a, mid, depth + 1)
-        push(mid, b, depth + 1)
+        push(a, mid, depth + 1, *_gk15(f, a, mid))
+        push(mid, b, depth + 1, *_gk15(f, mid, b))
+        evals += 30
 
 
-def one_shot(f: Callable[[float], float], breakpoints: Sequence[float]) -> float:
-    """Single unrefined pass over the panels; a cheap magnitude estimate."""
+def one_shot(
+    f: Callable[[float], float], breakpoints: Sequence[float]
+) -> List[Tuple[float, float]]:
+    """Single unrefined pass over the panels: the (value, error) of each, in
+    interval order.  The fsum of the values is a cheap magnitude estimate."""
     pts = sorted(set(float(p) for p in breakpoints))
-    return math.fsum(_gk15(f, a, b)[0] for a, b in zip(pts, pts[1:]) if b > a)
+    return [_gk15(f, a, b) for a, b in zip(pts, pts[1:]) if b > a]

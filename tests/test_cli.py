@@ -144,6 +144,20 @@ class TestSolveCommand:
         assert "numerical failure at z=" in err
         assert "quadrature stalled" in err
 
+    @pytest.mark.parametrize("command", ["solve", "verify"])
+    def test_float_overflow_exit_2(self, tmp_path, capsys, command):
+        # |xi|^31.5 passes the float range on [-T, T], T = 2|z| + 1 = 1e10 + 1,
+        # while the normalizer y^0.75 |z|^31.25 = 1.3e308 on the ray at 1e-3
+        # stays finite
+        cfg = write_scenario(
+            tmp_path, m=31, alpha=0.25, density={"family": "power", "s": 31.5, "scale": 1.0},
+            plan={"rays": [1e-3], "radii": {"start": 5e9, "factor": 10.0, "count": 1}},
+        )
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 2
+        err = capsys.readouterr().err
+        assert "numerical failure at z=" in err
+        assert "overflows the float range" in err
+
     def test_distant_atom_at_order_32(self, tmp_path, capsys):
         # |zeta|^{m+2} = 1e340 overflows a float; the atom's mass term underflows
         cfg = write_scenario(tmp_path, m=32, measure={"atoms": [[0.0, 1e10, 1.0]]})

@@ -20,10 +20,12 @@ from halfplanepot import (
     green,
     green_potential,
     modified_green,
+    modified_green_many,
     poisson,
     poisson_integral,
     subharmonic_eval,
 )
+from halfplanepot import potentials
 from halfplanepot.potentials import _power_norm_tail, _power_poisson_tail
 
 TIGHT = QuadratureSpec(abs_tol=1e-9, rel_tol=1e-12)
@@ -34,6 +36,7 @@ finite = st.floats(allow_nan=False, allow_infinity=False, width=64)
 INTERIOR_ENTRY_POINTS = {
     "poisson": lambda z: poisson(z, 0.5),
     "modified_green": lambda z: modified_green(z, 2j, 1),
+    "modified_green_many": lambda z: modified_green_many(z, [2j], 1),
     "poisson_integral": lambda z: poisson_integral(IndicatorDensity(-1.0, 1.0, 1.0), z, 0),
     "green_potential": lambda z: green_potential(DiscreteMeasure.empty(), z, 0),
 }
@@ -157,6 +160,33 @@ def indicator_poisson_closed_form(z: complex, a: float, b: float, height: float)
 
 
 class TestPoissonIntegral:
+    def test_float_overflow_is_numerical_failure(self):
+        # |z|^s and |xi|^s near the truncation radius pass the float range
+        with pytest.raises(NumericalFailure, match="overflows the float range") as exc:
+            poisson_integral(PowerDensity(31.0), 1e10j, 32)
+        assert math.isnan(exc.value.value)
+        assert exc.value.estimate == math.inf
+
+    def test_initial_panels_evaluated_once(self, monkeypatch):
+        # one coarse pass fixes the tolerance and seeds the adaptive pass
+        f, z = PowerDensity(0.0), 3 + 2j  # f = 1, so every node reaches the kernel
+        kernel_calls, passes = [], []
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                (kernel_calls if name == "kernel" else passes).append(name)
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for attr, name in (("modified_poisson", "kernel"), ("one_shot", "one_shot"),
+                           ("integrate", "integrate")):
+            monkeypatch.setattr(potentials, attr, counted(name, getattr(potentials, attr)))
+        res = poisson_integral(f, z, 0)
+        initial = len(potentials._breakpoints(z, res.truncation, f)) - 1
+        assert passes == ["one_shot", "integrate"]
+        # each bisection adds one panel and evaluates two
+        assert len(kernel_calls) == 15 * (initial + 2 * (res.panels - initial))
+
     def test_zero_density(self):
         res = poisson_integral(IndicatorDensity(0.0, 0.0, 1.0), 1j, 0, TIGHT)
         assert res.value == 0.0
@@ -384,6 +414,45 @@ class TestGreenPotential:
         mu = DiscreteMeasure.from_triples([(0.0, 1.0, 1.0)])
         with pytest.raises(SingularityError):
             green_potential(mu, complex(0.0, 1.0 + 1e-14), 0)
+
+    @staticmethod
+    def first_guarded_atom(mu, z):
+        """The per-atom guard test: the first index with abs(z - zeta) <= guard."""
+        guard = 1e-12 * (1.0 + abs(z))
+        for idx, p in enumerate(mu.points):
+            if abs(z - p.zeta) <= guard:
+                return idx
+        return None
+
+    def test_guard_names_first_offending_atom(self):
+        z = 0.5 + 1j
+        mu = DiscreteMeasure.from_triples(
+            [(3.0, 2.0, 1.0), (0.5 + 1e-13, 1.0, 1.0), (0.5, 1.0 + 1e-14, 2.0), (0.5, 1.0, 1.0)]
+        )
+        assert self.first_guarded_atom(mu, z) == 1
+        with pytest.raises(SingularityError, match=r"atom #1 at \(0\.5000000000001\+1j\)"):
+            green_potential(mu, z, 2)
+
+    def test_guard_decides_as_per_atom_abs(self):
+        # atoms a few ulps either side of the guard distance.  Near a tiny z
+        # the atoms' coordinates are of the guard's size, so their distances
+        # are resolved to the ulp and a one-ulp change flips the decision.
+        rng = np.random.default_rng(17)
+        for i in range(600):
+            r = 10 ** (rng.uniform(-20, -14) if i % 2 else rng.uniform(-2, 4))
+            z = cmath.rect(r, rng.uniform(1e-3, math.pi - 1e-3))
+            guard = 1e-12 * (1.0 + abs(z))
+            triples = []
+            for _ in range(4):
+                d = cmath.rect(guard * (1.0 + rng.integers(-4, 5) * 2.0**-52), rng.uniform(0.01, 3.13))
+                triples.append(((z + d).real, (z + d).imag, 1.0))
+            mu = DiscreteMeasure.from_triples([(0.0, 5.0, 1.0)] + triples)
+            idx = self.first_guarded_atom(mu, z)
+            if idx is None:
+                green_potential(mu, z, 1)
+            else:
+                with pytest.raises(SingularityError, match=f"atom #{idx} "):
+                    green_potential(mu, z, 1)
 
 
 class TestMeasureNormAndCompose:

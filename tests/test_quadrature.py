@@ -124,8 +124,33 @@ class TestAdaptivity:
         assert exc.value.estimate > 1e-14
 
     def test_one_shot_magnitude(self):
-        v = one_shot(lambda x: 1.0, [0.0, 0.25, 1.0])
+        first_pass = one_shot(lambda x: 1.0, [0.0, 0.25, 1.0])
+        assert len(first_pass) == 2
+        v = math.fsum(val for val, _err in first_pass)
         assert math.isclose(v, 1.0, rel_tol=1e-14)
+
+    def test_first_pass_seeds_the_heap(self):
+        # a seeded run evaluates only the refinements and ends bit for bit
+        # where an unseeded run does
+        calls = []
+
+        def f(x):
+            calls.append(x)
+            return 1.0 / (1.0 + x * x) + math.cos(5 * x) * math.exp(-abs(x))
+
+        pts = [-20.0, -1.0, 0.0, 1.0, 20.0]
+        plain = integrate(f, pts, abs_tol=1e-10, max_depth=50)
+        n_plain = len(calls)
+        first_pass = one_shot(f, pts)
+        del calls[:]
+        seeded = integrate(f, pts, abs_tol=1e-10, max_depth=50, first_pass=first_pass)
+        assert (seeded.value, seeded.error, seeded.panels) == (plain.value, plain.error, plain.panels)
+        assert seeded.evals == plain.evals - 15 * 4 == len(calls) == n_plain - 60
+
+    def test_first_pass_must_match_panels(self):
+        f = lambda x: x
+        with pytest.raises(ValueError, match="first pass"):
+            integrate(f, [0.0, 1.0, 2.0], abs_tol=1e-9, first_pass=one_shot(f, [0.0, 2.0]))
 
     def test_relative_tolerance_path(self):
         f = lambda x: 1e6 / (1.0 + x * x)
