@@ -363,8 +363,9 @@ class CoverParams:
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Error control for the adaptive quadrature engine; initial_truncation
-    is the floor of the truncation radius T of the Poisson and norm integrals."""
+    """Error control for the Poisson integral: the tolerance is
+    max(abs_tol, rel_tol * coarse magnitude), and initial_truncation is the
+    floor of its truncation radius T."""
 
     abs_tol: float = 1e-9
     rel_tol: float = 1e-9

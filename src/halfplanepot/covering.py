@@ -256,8 +256,8 @@ def build_exceptional_cover(
         raise ParameterError(
             f"cover threshold lambda={lam} below 5^beta * mu(C) = {5.0 ** beta * mass}"
         )
-    if search_radius < 4.0:
-        raise ParameterError(f"search radius must be >= 4, got {search_radius}")
+    if not 4.0 <= search_radius < 2.0**1023:  # 2^(k_max + 1) must be a float
+        raise ParameterError(f"search radius must lie in [4, 2^1023), got {search_radius}")
 
     k_max = int(math.floor(math.log2(search_radius)))
     guarantee_radius = 2.0 ** (k_max + 1)

@@ -66,6 +66,13 @@ class SamplingPlan:
             raise ValueError("radius_factor must be > 1")
         if self.radius_count < 1:
             raise ValueError("radius_count must be >= 1")
+        try:  # the last radius, as radii computes it
+            last = self.radius_start * self.radius_factor ** (self.radius_count - 1)
+        except OverflowError:
+            last = math.inf
+        if not (math.isfinite(last) and math.isfinite(self.radius_factor)):
+            raise ValueError(f"radius ladder must stay finite, got factor {self.radius_factor} "
+                             f"and last radius {last}")
         if self.annulus_samples < 0:
             raise ValueError("annulus_samples must be >= 0")
 
@@ -123,6 +130,18 @@ def _sample_points(plan: SamplingPlan):
     return pts
 
 
+def _normalizer(y: float, r: float, m: int, a: float) -> float:
+    """y^(1-alpha) |z|^(m+alpha); NumericalFailure unless it is a positive float."""
+    try:
+        value = y ** (1.0 - a) * r ** (m + a)
+    except OverflowError:
+        value = math.inf
+    if not 0.0 < value < math.inf:
+        msg = f"normalizer y^(1-alpha) |z|^(m+alpha) leaves the float range ({value})"
+        raise NumericalFailure(msg, value, math.inf)
+    return value
+
+
 def growth_report(
     density: BoundaryDensity,
     mu: DiscreteMeasure,
@@ -148,10 +167,11 @@ def growth_report(
     samples = []
     for ray_i, rad_j, ann_k, r, th in _sample_points(plan):
         z = complex(r * math.cos(th), r * math.sin(th))
-        normalizer = z.imag ** (1.0 - a) * r ** (mm + a)
         in_cover = cover is not None and cover.contains(z)
-        pq = replace(quad, abs_tol=max(quad.abs_tol, quad.rel_tol * normalizer))
+        normalizer = math.nan  # stays nan when the normalizer itself fails
         try:
+            normalizer = _normalizer(z.imag, r, mm, a)
+            pq = replace(quad, abs_tol=max(quad.abs_tol, quad.rel_tol * normalizer))
             pv = subharmonic_eval(density, mu, z, mm, pq)
             samples.append(
                 GrowthSample(

@@ -79,16 +79,15 @@ def integrate(
     f: Callable[[float], float],
     breakpoints: Sequence[float],
     abs_tol: float,
-    rel_tol: float = 0.0,
     max_depth: int = 60,
     *,
     first_pass: Optional[Sequence[Tuple[float, float]]] = None,
 ) -> QuadResult:
     """Integrate f over [breakpoints[0], breakpoints[-1]].
 
-    Refines until the summed per-panel error estimate is below
-    max(abs_tol, rel_tol * |value|); raises NumericalFailure (carrying the
-    best value and estimate) if every remaining panel has hit max_depth.
+    Refines until the summed per-panel error estimate is below abs_tol;
+    raises NumericalFailure (carrying the best value and estimate) if every
+    remaining panel has hit max_depth.
     first_pass is one_shot(f, breakpoints) when the caller has it already;
     its panels are then not evaluated again.
     """
@@ -106,13 +105,11 @@ def integrate(
     heap = []  # (-err, seq, a, b, depth, value, err)
     frozen = []  # panels at max_depth: (a, b, value, err)
     seq = 0
-    total_value = 0.0
     total_error = 0.0
     width_floor = 1e-15
 
     def push(a, b, depth, val, err):
-        nonlocal seq, total_value, total_error
-        total_value += val
+        nonlocal seq, total_error
         total_error += err
         if depth >= max_depth or (b - a) < width_floor * max(1.0, abs(a), abs(b)):
             frozen.append((a, b, val, err))
@@ -131,19 +128,17 @@ def integrate(
         return value, error, len(live)
 
     while True:
-        tol = max(abs_tol, rel_tol * abs(total_value))
-        if total_error <= tol:
-            # running totals drift; confirm with an exact resum
+        if total_error <= abs_tol:
+            # the running total drifts; confirm with an exact resum
             value, error, n = finish()
-            if error <= max(abs_tol, rel_tol * abs(value)):
+            if error <= abs_tol:
                 return QuadResult(value, error, n, evals)
-            total_value, total_error = value, error
+            total_error = error
         if not heap:
             value, error, n = finish()
             raise NumericalFailure(
-                f"quadrature stalled at error {error:.3e} > tolerance "
-                f"{max(abs_tol, rel_tol * abs(value)):.3e} with all {n} panels at "
-                f"max depth {max_depth}",
+                f"quadrature stalled at error {error:.3e} > tolerance {abs_tol:.3e} "
+                f"with all {n} panels at max depth {max_depth}",
                 value,
                 error,
             )
@@ -154,8 +149,7 @@ def integrate(
                 value,
                 error,
             )
-        _, _, a, b, depth, val, err = heapq.heappop(heap)
-        total_value -= val
+        _, _, a, b, depth, _val, err = heapq.heappop(heap)
         total_error -= err
         mid = 0.5 * (a + b)
         push(a, mid, depth + 1, *_gk15(f, a, mid))

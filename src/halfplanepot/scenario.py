@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Union
@@ -68,8 +69,9 @@ def _number(obj: dict, key: str, where: str, default=None):
             raise ScenarioError(f"missing required key '{key}' in {where}")
         return default
     v = obj[key]
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise ScenarioError(f"'{key}' in {where} must be a number, got {v!r}")
+    # json reads NaN and +-Infinity; the exact comparison also rejects ints past the float range
+    if isinstance(v, bool) or not isinstance(v, (int, float)) or not abs(v) <= sys.float_info.max:
+        raise ScenarioError(f"'{key}' in {where} must be a finite number, got {v!r}")
     return v
 
 
@@ -125,7 +127,7 @@ def _parse_density(obj, where="density") -> BoundaryDensity:
         if not isinstance(knots, list):
             raise ScenarioError(f"{where}.knots must be a list of [xi, value] pairs")
         return TabulatedDensity(tuple((float(x), float(v)) for x, v in knots))
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, OverflowError) as exc:
         raise ScenarioError(f"invalid {where}: {exc}") from exc
 
 
@@ -175,7 +177,7 @@ def _parse_measure(obj, base_dir: Path) -> DiscreteMeasure:
         return DiscreteMeasure.from_triples(
             (float(a), float(b), float(c)) for a, b, c in atoms
         )
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, OverflowError) as exc:
         raise ScenarioError(f"invalid measure atoms: {exc}") from exc
 
 
@@ -198,7 +200,7 @@ def _parse_plan(obj) -> SamplingPlan:
             radius_count=int(_number(radii, "count", "plan.radii")),
             annulus_samples=int(_number(obj, "annulus_samples", "plan", default=0)),
         )
-    except ValueError as exc:
+    except (ValueError, TypeError, OverflowError) as exc:
         raise ScenarioError(f"invalid plan: {exc}") from exc
 
 
@@ -227,13 +229,8 @@ def parse_scenario(data: dict, base_dir: Union[str, Path] = ".") -> Scenario:
     if not isinstance(cover, dict):
         raise ScenarioError("cover must be an object")
     _check_keys(cover, _COVER_KEYS, "cover")
-    lam = cover.get("lambda", "auto")
-    if lam == "auto":
-        cover_lambda = None
-    elif isinstance(lam, (int, float)) and not isinstance(lam, bool):
-        cover_lambda = float(lam)
-    else:
-        raise ScenarioError(f"cover.lambda must be a number or 'auto', got {lam!r}")
+    auto = cover.get("lambda", "auto") == "auto"
+    cover_lambda = None if auto else float(_number(cover, "lambda", "cover, if not 'auto',"))
     cover_beta = float(_number(cover, "beta", "cover", default=2.0 - alpha))
     max_radius = plan.radii[-1]
     search_radius = float(
@@ -262,11 +259,9 @@ def parse_scenario(data: dict, base_dir: Union[str, Path] = ".") -> Scenario:
 
     mf = data.get("min_factor_per_decade")
     if mf is not None:
-        if isinstance(mf, bool) or not isinstance(mf, (int, float)) or not 0 < mf:
-            raise ScenarioError(
-                f"min_factor_per_decade must be a positive number, got {mf!r}"
-            )
-        mf = float(mf)
+        mf = float(_number(data, "min_factor_per_decade", "scenario"))
+        if not mf > 0:
+            raise ScenarioError(f"min_factor_per_decade must be positive, got {mf!r}")
 
     try:
         return Scenario(
@@ -293,6 +288,6 @@ def load_scenario(path: Union[str, Path]) -> Scenario:
             data = json.load(fh)
     except OSError as exc:
         raise ScenarioError(f"cannot read scenario {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # also an int past the digit limit of int()
         raise ScenarioError(f"scenario {path} is not valid JSON: {exc}") from exc
     return parse_scenario(data, base_dir=path.parent)

@@ -158,6 +158,53 @@ class TestSolveCommand:
         assert "numerical failure at z=" in err
         assert "overflows the float range" in err
 
+    @pytest.mark.parametrize("command", ["solve", "verify"])
+    def test_normalizer_overflow_exit_2(self, tmp_path, capsys, command):
+        # the normalizer |z|^33 at |z| = 1e10 passes the float range
+        cfg = write_scenario(
+            tmp_path, m=32, density={"family": "power", "s": 1.5, "scale": 1.0},
+            plan={"rays": [math.pi / 2], "radii": {"start": 1e8, "factor": 10.0, "count": 3}},
+        )
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 2
+        err = capsys.readouterr().err
+        assert "numerical failure at z=(6.123233995736766e-07, 10000000000.0): normalizer" in err
+
+    @pytest.mark.parametrize(
+        "density",
+        [{"family": "indicator", "a": -1.0, "b": 1.0}, {"family": "power", "s": 0.5}],
+    )
+    def test_truncation_radius_past_float_range_exit_2(self, tmp_path, capsys, density):
+        # 2|z| + 1 at |z| = 1e308 is inf
+        cfg = write_scenario(
+            tmp_path, density=density,
+            plan={"rays": [math.pi / 2], "radii": {"start": 1e308, "factor": 10.0, "count": 1}},
+        )
+        assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 2
+        err = capsys.readouterr().err
+        assert "numerical failure at z=" in err and "truncation radius" in err
+
+    @pytest.mark.parametrize(
+        "command,where,value",
+        [
+            ("solve", "radii", {"start": math.inf, "factor": 10, "count": 3}),
+            ("verify", "radii", {"start": math.inf, "factor": 10, "count": 3}),
+            ("verify", "cover", {"lambda": math.inf}),
+            ("verify", "cover", {"search_radius": math.inf}),
+            ("verify", "cover", {"search_radius": 1e308}),  # 2^(floor(log2 r) + 1) overflows
+            ("solve", "radii", {"start": 10, "factor": 10, "count": 400}),  # 1e400 overflows
+        ],
+        ids=["start-solve", "start-verify", "lambda", "search-radius", "search-radius-1e308", "ladder"],
+    )
+    def test_numbers_past_the_float_range_exit_1(self, tmp_path, capsys, command, where, value):
+        # Python's json writes math.inf as Infinity and reads it back
+        if where == "radii":
+            overrides = {"plan": {"rays": [1.0], "radii": value}}
+        else:
+            overrides = {"cover": value}
+        cfg = write_scenario(tmp_path, **overrides)
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 1
+        assert "config error:" in capsys.readouterr().err
+
     def test_distant_atom_at_order_32(self, tmp_path, capsys):
         # |zeta|^{m+2} = 1e340 overflows a float; the atom's mass term underflows
         cfg = write_scenario(tmp_path, m=32, measure={"atoms": [[0.0, 1e10, 1.0]]})

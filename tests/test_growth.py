@@ -36,6 +36,20 @@ class TestSamplingPlan:
         plan = three_decade_plan()
         assert plan.radii == (10.0, 100.0, 1000.0)
 
+    @pytest.mark.parametrize(
+        "start,factor,count",
+        [
+            (math.inf, 10.0, 3),
+            (math.nan, 10.0, 3),
+            (10.0, math.inf, 1),  # a one-radius ladder never multiplies by the factor
+            (10.0, 10.0, 400),  # 10^399 raises OverflowError in factor ** j
+            (1e308, 10.0, 2),  # 1e309 rounds to inf without raising
+        ],
+    )
+    def test_rejects_radii_past_the_float_range(self, start, factor, count):
+        with pytest.raises(ValueError):
+            SamplingPlan(rays=(1.0,), radius_start=start, radius_factor=factor, radius_count=count)
+
 
 class TestGrowthReport:
     def test_zero_scenario_all_ratios_zero(self):
@@ -83,6 +97,19 @@ class TestGrowthReport:
             assert math.isclose(s.normalizer, s.y ** (1 - 1.5) * r ** (1 + 1.5), rel_tol=1e-12)
             assert s.normalizer > 0
             assert math.isclose(s.ratio, abs(s.u) / s.normalizer, rel_tol=1e-15)
+
+    @pytest.mark.parametrize("start,bad", [(1e8, 2), (1e-10, 0)])
+    def test_normalizer_past_the_float_range(self, start, bad):
+        # at m = 32, alpha = 1 the normalizer is |z|^33: 1e330 overflows and
+        # 1e-330 underflows to 0; that sample fails and the others are kept
+        plan = SamplingPlan((math.pi / 2,), start, 10.0, 3)
+        rep = growth_report(PowerDensity(1.5), DiscreteMeasure.empty(), 32, 1.0, plan, None, QUAD)
+        assert [s.ok for s in rep.samples] == [i != bad for i in range(3)]
+        for i, s in enumerate(rep.samples):
+            if i != bad:
+                assert s.normalizer == s.y**33
+        failed = rep.samples[bad]
+        assert "normalizer" in failed.note and math.isnan(failed.ratio)
 
     def test_in_cover_flag_consistency(self):
         mu = DiscreteMeasure.from_triples([(30.0, 30.0, 1.0)])

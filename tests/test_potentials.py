@@ -16,7 +16,6 @@ from halfplanepot import (
     QuadratureSpec,
     SingularityError,
     TabulatedDensity,
-    density_norm,
     green,
     green_potential,
     modified_green,
@@ -26,7 +25,7 @@ from halfplanepot import (
     subharmonic_eval,
 )
 from halfplanepot import potentials
-from halfplanepot.potentials import _power_norm_tail, _power_poisson_tail
+from halfplanepot.potentials import _power_poisson_tail
 
 TIGHT = QuadratureSpec(abs_tol=1e-9, rel_tol=1e-12)
 
@@ -131,23 +130,12 @@ class TestPowerTails:
         )
         assert abs(value - ref) <= bound
 
-    @pytest.mark.parametrize(
-        "s,m,T", [(1.5, 1, 8.0), (-0.5, 0, 2.0), (5.5, 6, 3.0), (1.999, 1, 8.0), (0.5, 1, 1e4)]
-    )
-    def test_norm_tail_against_mpmath(self, s, m, T):
-        # int_{|xi| > T} |scale| |xi|^s / (1 + |xi|^{m+2}) dxi, directly
-        f = PowerDensity(s, -1.5)
-        value, bound = _power_norm_tail(f, m, T)
-        ref = 1.5 * mp_tail(lambda xi: 2 * xi**s / (1 + xi ** (m + 2)), T, m + 1 - s)
-        assert abs(value - ref) <= bound
-
     def test_zero_scale_has_no_tail(self):
         # scale 0 passes the norm condition for any s; its support is empty
         f = PowerDensity(7.0, 0.0)
         assert f.support_radius() == 0.0
         res = poisson_integral(f, 1j, 1)
         assert (res.value, res.tail_bound, res.truncation) == (0.0, 0.0, 8.0)
-        assert density_norm(f, 1) == 0.0
 
 
 def indicator_poisson_closed_form(z: complex, a: float, b: float, height: float) -> float:
@@ -290,6 +278,18 @@ class TestPoissonIntegral:
         ref = v_oracle(PowerDensity(1.999), z, 1)
         assert abs(res.value - ref) <= res.error_estimate
 
+    @pytest.mark.parametrize("density", [IndicatorDensity(-1.0, 1.0, 1.0), PowerDensity(0.5)])
+    @pytest.mark.parametrize("z", [1e308j, 1e308 + 1e308j])
+    def test_truncation_radius_past_float_range(self, monkeypatch, density, z):
+        # 2|z| + 1 is inf: the failure comes before the first panel is evaluated
+        def no_panels(*args, **kwargs):
+            raise AssertionError("a panel was evaluated")
+
+        monkeypatch.setattr(potentials, "one_shot", no_panels)
+        with pytest.raises(NumericalFailure, match="truncation radius") as exc:
+            poisson_integral(density, z, 0)
+        assert math.isnan(exc.value.value) and exc.value.estimate == math.inf
+
     def test_one_truncation_radius(self):
         # T is max(initial_truncation, 2|z| + 1, 2, support radius), not searched for
         assert poisson_integral(PowerDensity(1.5), 1j, 1).truncation == 8.0
@@ -305,8 +305,6 @@ class TestPoissonIntegral:
         absurd = QuadratureSpec(abs_tol=1e-300, rel_tol=1e-300)
         with pytest.raises(NumericalFailure, match="tail bound"):
             poisson_integral(PowerDensity(1.5), 3 + 4j, 1, absurd)
-        with pytest.raises(NumericalFailure, match="tail bound"):
-            density_norm(PowerDensity(1.5), 1, absurd)
 
     def test_error_estimate_honest_against_mpmath(self):
         # |v - v_mpmath| <= quad_error + tail_bound over s, m and |z| = 0.1 .. 1e4,
@@ -341,40 +339,10 @@ class TestPoissonIntegral:
 
 
 class TestDensityNorm:
-    def test_indicator_arctan(self):
-        # integral of 1/(1+xi^2) over [-1, 1] = pi/2
-        val = density_norm(IndicatorDensity(-1.0, 1.0, 1.0), 0, TIGHT)
-        assert abs(val - math.pi / 2) < 1e-8
-
-    def test_zero(self):
-        assert density_norm(IndicatorDensity(2.0, 2.0, 7.0), 3, TIGHT) == 0.0
-
     def test_critical_power_divergent(self):
-        assert density_norm(PowerDensity(1.0), 0, TIGHT) == math.inf
-        assert density_norm(PowerDensity(-1.0), 0, TIGHT) == math.inf
-
-    def test_power_beta_function_closed_form(self):
-        # int |xi|^s/(1+|xi|^{2+m}) = 2 (pi/(2+m)) / sin(pi (s+1)/(2+m))
-        for s, m in ((0.5, 1), (0.0, 0), (1.2, 2)):
-            val = density_norm(PowerDensity(s), m, QuadratureSpec(abs_tol=1e-9, rel_tol=1e-9))
-            exact = 2 * (math.pi / (2 + m)) / math.sin(math.pi * (s + 1) / (2 + m))
-            assert abs(val - exact) <= 1e-6 * exact
-
-    def test_slowly_decaying_power(self):
-        # the s = 1.999, m = 1 integrand decays like |xi|^-1.001; its value is
-        # about 2000, nearly all of it from beyond T
-        s, m = 1.999, 1
-        val = density_norm(PowerDensity(s), m)
-        exact = 2 * (math.pi / (2 + m)) / math.sin(math.pi * (s + 1) / (2 + m))
-        assert abs(val - exact) <= 1e-6 * exact
-
-    def test_tabulated(self):
-        # hat function on [-1, 1]: f = 1 - |xi|; oracle by dense trapezoid
-        f = TabulatedDensity(((-1.0, 0.0), (0.0, 1.0), (1.0, 0.0)))
-        xs = np.linspace(-1, 1, 400001)
-        ys = (1 - np.abs(xs)) / (1 + np.abs(xs) ** 2)
-        oracle = float(np.trapezoid(ys, xs))
-        assert abs(density_norm(f, 0, TIGHT) - oracle) < 1e-8
+        # int |xi|^s / (1 + |xi|^2) diverges at s = 1 (infinity) and s = -1 (origin)
+        assert not PowerDensity(1.0).norm_finite(0)[0]
+        assert not PowerDensity(-1.0).norm_finite(0)[0]
 
 
 class TestGreenPotential:

@@ -2,6 +2,8 @@ import json
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from halfplanepot import (
     IndicatorDensity,
@@ -9,7 +11,7 @@ from halfplanepot import (
     ScenarioError,
     TabulatedDensity,
 )
-from halfplanepot.scenario import parse_scenario, read_atoms_csv
+from halfplanepot.scenario import load_scenario, parse_scenario, read_atoms_csv
 
 MINIMAL = {
     "schema_version": 1,
@@ -85,6 +87,7 @@ class TestRejection:
             scen(plan={"rays": [], "radii": {"start": 1, "factor": 10, "count": 2}}),
             scen(plan={"rays": [1.0], "radii": {"start": 1, "factor": 0.5, "count": 2}}),
             scen(quadrature={"abs_tol": -1.0}),
+            scen(plan={"rays": [[1.0]], "radii": {"start": 1, "factor": 10, "count": 2}}),
         ],
     )
     def test_rejected(self, bad):
@@ -94,6 +97,70 @@ class TestRejection:
     def test_non_object(self):
         with pytest.raises(ScenarioError):
             parse_scenario([1, 2, 3])
+
+
+# every numeric field a scenario can hold, at ordinary values
+FULL = {
+    "schema_version": 1,
+    "m": 1,
+    "alpha": 1.0,
+    "measure": {"atoms": [[0.5, 2.0, 1.0]]},
+    "cover": {"lambda": 20.0, "beta": 1.0, "search_radius": 100.0},
+    "plan": {
+        "rays": [1.0],
+        "radii": {"start": 10.0, "factor": 10.0, "count": 3},
+        "annulus_samples": 1,
+    },
+    "quadrature": {"abs_tol": 1e-9, "rel_tol": 1e-8, "max_depth": 40, "initial_truncation": 8.0},
+    "seed": 3,
+    "min_factor_per_decade": 0.5,
+}
+DENSITIES = [
+    {"family": "power", "s": 0.5, "scale": 2.0},
+    {"family": "indicator", "a": -1.0, "b": 1.0, "height": 1.0},
+    {"family": "tabulated", "knots": [[-1.0, 0.0], [0.0, 2.0], [1.0, 0.0]]},
+]
+# what Python's json reads besides ordinary numbers, and the ends of the float range
+EXTREMES = [math.nan, math.inf, -math.inf, 1e308, -1e308, 0, -0.0, 5e-324, 10**400]
+
+
+def numeric_paths(obj, path=()):
+    if isinstance(obj, dict):
+        items = obj.items()
+    elif isinstance(obj, list):
+        items = enumerate(obj)
+    else:
+        return [path] if isinstance(obj, (int, float)) and not isinstance(obj, bool) else []
+    return [p for key, value in items for p in numeric_paths(value, path + (key,))]
+
+
+class TestExtremeNumbers:
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from(DENSITIES), st.data())
+    def test_parsed_or_rejected(self, density, data):
+        scenario = json.loads(json.dumps(dict(FULL, density=density)))
+        paths = [p for p in numeric_paths(scenario) if p != ("schema_version",)]
+        path = data.draw(st.sampled_from(paths))
+        target = scenario
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = data.draw(st.sampled_from(EXTREMES))
+        try:
+            s = parse_scenario(scenario)
+        except ScenarioError:
+            return
+        assert all(math.isfinite(r) for r in s.plan.radii)
+        q = s.quad
+        scalars = (s.alpha, s.cover_lambda, s.cover_beta, s.search_radius, s.min_factor_per_decade,
+                   q.abs_tol, q.rel_tol, q.initial_truncation)
+        assert all(math.isfinite(v) for v in scalars)
+
+    def test_int_past_the_digit_limit(self, tmp_path):
+        # json.load raises a plain ValueError for an int of more than 4300 digits
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(scen()).replace('"m": 0', '"m": 1' + "0" * 5000))
+        with pytest.raises(ScenarioError, match="not valid JSON"):
+            load_scenario(path)
 
 
 class TestAtomsCsv:
