@@ -10,9 +10,7 @@ from .core import (
     CoverParams,
     DiscreteMeasure,
     DomainError,
-    GrowthExponent,
     IndicatorDensity,
-    KernelOrder,
     NumericalFailure,
     ParameterError,
     PowerDensity,
@@ -20,7 +18,6 @@ from .core import (
     ScenarioError,
     SingularityError,
     TabulatedDensity,
-    UpperPoint,
     validate_scenario,
 )
 from .covering import (
@@ -78,11 +75,9 @@ __all__ = [
     "DomainError",
     "EvalMode",
     "ExceptionalCover",
-    "GrowthExponent",
     "GrowthReport",
     "GrowthSample",
     "IndicatorDensity",
-    "KernelOrder",
     "Lemma2SweepReport",
     "NumericalFailure",
     "ParameterError",
@@ -95,7 +90,6 @@ __all__ = [
     "ScenarioError",
     "SingularityError",
     "TabulatedDensity",
-    "UpperPoint",
     "build_exceptional_cover",
     "certify_complement",
     "cover_from_json",

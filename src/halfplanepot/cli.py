@@ -183,16 +183,14 @@ def _certified_cover(scenario, json_path, samples: int):
     """Build the scenario's cover, write its JSON to json_path (if given) and
     certify its complement; returns (cover, certification report), or None
     (after a message) if certification fails."""
-    cover = build_exceptional_cover(
-        scenario.measure, scenario.cover_params(), scenario.search_radius
-    )
+    cover = build_exceptional_cover(scenario.measure, scenario.cover, scenario.search_radius)
     if json_path:
         with open(json_path, "w", newline="") as fh:
             fh.write(cover_to_json(cover))
     try:
         report = certify_complement(
             scenario.measure,
-            scenario.cover_params(),
+            scenario.cover,
             cover,
             samples=samples,
             seed=scenario.seed,

@@ -2,6 +2,10 @@
 
 Every type here is an immutable value object: invariants are checked once at
 construction and instances are safe to share across threads or processes.
+Kernel orders, growth exponents and points are plain int, float and complex
+values; each public entry point checks the ones it receives once, with
+as_order, as_alpha, as_interior, as_upper and as_boundary, and passes them
+on unchecked.
 """
 
 from __future__ import annotations
@@ -51,63 +55,31 @@ def _require_finite(label: str, *values: float) -> None:
             raise ValueError(f"{label} must be finite, got {v!r}")
 
 
-@dataclass(frozen=True)
-class UpperPoint:
-    """Point of the closed upper half plane; eta = 0 marks the boundary."""
-
-    xi: float
-    eta: float
-
-    def __post_init__(self):
-        _require_finite("UpperPoint coordinate", self.xi, self.eta)
-        if self.eta < 0:
-            raise ValueError(f"upper point needs eta >= 0, got eta={self.eta}")
-
-    @property
-    def zeta(self) -> complex:
-        return complex(self.xi, self.eta)
-
-    def __abs__(self) -> float:
-        return math.hypot(self.xi, self.eta)
-
-
-@dataclass(frozen=True)
-class KernelOrder:
-    """Expansion order m of the modified kernels.
+def as_order(m: int) -> int:
+    """Check an expansion order m of the modified kernels: an int, not a
+    bool, in [0, 32] (ParameterError otherwise).
 
     Capped at 32: powers |z|^k up to k = m+1 plus tail series must stay in
     double precision at the radii the growth harness samples (|z| up to 1e4).
     """
-
-    m: int
-
-    def __post_init__(self):
-        if not isinstance(self.m, int) or isinstance(self.m, bool):
-            raise ValueError(f"kernel order must be an integer, got {self.m!r}")
-        if not 0 <= self.m <= MAX_ORDER:
-            raise ValueError(f"kernel order must be in [0, {MAX_ORDER}], got {self.m}")
+    if not isinstance(m, int) or isinstance(m, bool):
+        raise ParameterError(f"kernel order must be an integer, got {m!r}")
+    if not 0 <= m <= MAX_ORDER:
+        raise ParameterError(f"kernel order must be in [0, {MAX_ORDER}], got {m}")
+    return m
 
 
-@dataclass(frozen=True)
-class GrowthExponent:
-    """Growth exponent alpha, 0 < alpha <= 2.
+def as_alpha(alpha: float) -> float:
+    """Check a growth exponent: a float with 0 < alpha <= 2 (ParameterError
+    otherwise, nan included).
 
     alpha = 2 is allowed here; the stricter alpha < 2 required when a measure
-    is present is enforced by validate_scenario, not by the type.
+    is present is enforced by validate_scenario.
     """
-
-    alpha: float
-
-    def __post_init__(self):
-        _require_finite("GrowthExponent", self.alpha)
-        if not 0 < self.alpha <= 2:
-            raise ValueError(f"growth exponent must lie in (0, 2], got {self.alpha}")
-
-
-def as_order(m: Union[KernelOrder, int]) -> int:
-    if isinstance(m, KernelOrder):
-        return m.m
-    return KernelOrder(m).m
+    a = float(alpha)
+    if not 0 < a <= 2:
+        raise ParameterError(f"growth exponent must lie in (0, 2], got {a}")
+    return a
 
 
 def as_interior(z: complex) -> complex:
@@ -265,7 +237,7 @@ class DiscreteMeasure:
     function a closed form.
     """
 
-    points: Tuple[UpperPoint, ...]
+    points: Tuple[complex, ...]  # atoms zeta = xi + i eta
     weights: Tuple[float, ...]
 
     def __post_init__(self):
@@ -276,14 +248,15 @@ class DiscreteMeasure:
             if w < 0:
                 raise ValueError(f"atom weights must be >= 0, got {w}")
         for p in self.points:
-            if not p.eta > 0:
+            _require_finite("atom coordinate", p.real, p.imag)
+            if not p.imag > 0:
                 raise ValueError(f"measure atoms need eta > 0, got {p}")
 
     @classmethod
     def from_triples(cls, triples: Iterable[Sequence[float]]) -> "DiscreteMeasure":
         pts, ws = [], []
         for xi, eta, w in triples:
-            pts.append(UpperPoint(float(xi), float(eta)))
+            pts.append(complex(float(xi), float(eta)))
             ws.append(float(w))
         return cls(tuple(pts), tuple(ws))
 
@@ -296,7 +269,7 @@ class DiscreteMeasure:
 
     @cached_property
     def positions(self) -> np.ndarray:
-        return np.array([p.zeta for p in self.points], dtype=complex)
+        return np.array(self.points, dtype=complex)
 
     @cached_property
     def weight_array(self) -> np.ndarray:
@@ -306,15 +279,15 @@ class DiscreteMeasure:
     def total_mass(self) -> float:
         return math.fsum(self.weights)
 
-    def mass_functional(self, m: Union[KernelOrder, int]) -> float:
+    def mass_functional(self, m: int) -> float:
         """Sum of w * eta / (1 + |zeta|^{2+m}); realizes the measure condition exactly."""
         mm = as_order(m)
         terms = []
         for p, w in zip(self.points, self.weights):
             try:
-                terms.append(w * p.eta / (1.0 + abs(p) ** (2 + mm)))
+                terms.append(w * p.imag / (1.0 + abs(p) ** (2 + mm)))
             except OverflowError:  # |zeta|^{2+m} is past the float range, 1 is below its ulp
-                terms.append(w * (p.eta / abs(p)) * abs(p) ** -(1 + mm))
+                terms.append(w * (p.imag / abs(p)) * abs(p) ** -(1 + mm))
         return math.fsum(terms)
 
     def concat(self, other: "DiscreteMeasure") -> "DiscreteMeasure":
@@ -346,8 +319,9 @@ class Ball:
 class CoverParams:
     """Order and threshold of an exceptional-set cover.
 
-    The Lemma-1 precondition lam >= 5**beta * total mass depends on the target
-    measure and is checked when a cover is built, not here.
+    beta must be >= 0 with 5**beta a float.  The Lemma-1 precondition
+    lam >= 5**beta * total mass depends on the target measure and is checked
+    when a cover is built, not here.
     """
 
     beta: float
@@ -357,6 +331,11 @@ class CoverParams:
         _require_finite("CoverParams", self.beta, self.lam)
         if self.beta < 0:
             raise ValueError(f"cover order beta must be >= 0, got {self.beta}")
+        try:
+            5.0**self.beta
+        except OverflowError:
+            msg = f"cover order beta={self.beta} puts 5^beta past the float range"
+            raise ValueError(msg) from None
         if not self.lam > 0:
             raise ValueError(f"cover threshold lambda must be > 0, got {self.lam}")
 
@@ -393,7 +372,6 @@ class QuadratureSpec:
 class ScenarioValidation:
     ok: bool
     failures: Tuple[str, ...]
-    mass_functional: float
 
     def raise_if_invalid(self) -> None:
         if not self.ok:
@@ -403,17 +381,17 @@ class ScenarioValidation:
 def validate_scenario(
     density: BoundaryDensity,
     measure: DiscreteMeasure,
-    m: Union[KernelOrder, int],
-    alpha: Union[GrowthExponent, float],
+    m: int,
+    alpha: float,
 ) -> ScenarioValidation:
     """Check the theorem hypotheses for a (density, measure, m, alpha) scenario.
 
-    Accepts iff the weighted density norm is finite for this m, the measure's
-    mass functional is finite (automatic for finite atom lists), and alpha < 2
-    whenever the measure is nonempty.
+    Accepts iff the weighted density norm is finite for this m and alpha < 2
+    whenever the measure is nonempty; the measure's mass functional is finite
+    for every finite atom list, so it needs no check.
     """
     mm = as_order(m)
-    a = alpha.alpha if isinstance(alpha, GrowthExponent) else GrowthExponent(float(alpha)).alpha
+    a = as_alpha(alpha)
     failures = []
     ok, why = density.norm_finite(mm)
     if not ok:
@@ -422,5 +400,4 @@ def validate_scenario(
         failures.append(
             f"alpha must be < 2 when the measure is nonempty, got alpha={a}"
         )
-    norm = measure.mass_functional(mm)
-    return ScenarioValidation(not failures, tuple(failures), norm)
+    return ScenarioValidation(not failures, tuple(failures))

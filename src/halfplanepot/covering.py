@@ -331,7 +331,10 @@ def certify_complement(
     Draws come in blocks from rng.random((k, 2)), mapped with the arithmetic
     of Generator.uniform, so the sample set is the one that alternating
     uniform(log 2, log radius_range) and uniform(0, 2 pi) calls would draw.
+    samples and seed must be >= 0 (ParameterError).
     """
+    if samples < 0 or seed < 0:
+        raise ParameterError(f"samples and seed must be >= 0, got {samples} and {seed}")
     if radius_range is None:
         radius_range = cover.guarantee_radius
     if radius_range < 2.0:

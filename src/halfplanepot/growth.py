@@ -13,19 +13,18 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, replace
-from typing import Optional, Tuple, Union
+from typing import Optional, Tuple
 
 import numpy as np
 
 from .core import (
     BoundaryDensity,
     DiscreteMeasure,
-    GrowthExponent,
-    KernelOrder,
     NumericalFailure,
     ParameterError,
     QuadratureSpec,
     SingularityError,
+    as_alpha,
     as_order,
     validate_scenario,
 )
@@ -145,8 +144,8 @@ def _normalizer(y: float, r: float, m: int, a: float) -> float:
 def growth_report(
     density: BoundaryDensity,
     mu: DiscreteMeasure,
-    m: Union[KernelOrder, int],
-    alpha: Union[GrowthExponent, float],
+    m: int,
+    alpha: float,
     plan: SamplingPlan,
     cover: Optional[ExceptionalCover],
     quad: QuadratureSpec = QuadratureSpec(),
@@ -161,7 +160,7 @@ def growth_report(
     which accuracy matters.
     """
     mm = as_order(m)
-    a = alpha.alpha if isinstance(alpha, GrowthExponent) else GrowthExponent(float(alpha)).alpha
+    a = as_alpha(alpha)
     validate_scenario(density, mu, mm, a).raise_if_invalid()
 
     samples = []
@@ -287,11 +286,14 @@ def _random_upper(rng) -> complex:
     return cmath.rect(r, th)
 
 
-def lemma2_sweep(case: int, m: Union[KernelOrder, int], samples: int, seed: int) -> Lemma2SweepReport:
+def lemma2_sweep(case: int, m: int, samples: int, seed: int) -> Lemma2SweepReport:
     """Draw points inside the case's precondition region (log-uniform moduli
     in [1e-2, 1e3], rejection sampling for the relative-size constraints) and
-    count violations of lhs <= rhs * (1 + 1e-12)."""
+    count violations of lhs <= rhs * (1 + 1e-12).  samples and seed must be
+    >= 0 (ParameterError)."""
     mm = as_order(m)
+    if samples < 0 or seed < 0:
+        raise ParameterError(f"samples and seed must be >= 0, got {samples} and {seed}")
     rng = np.random.default_rng(seed)
     violations = []
     worst = 0.0

@@ -284,10 +284,7 @@ def modified_green_many(z: complex, zetas, m: int) -> np.ndarray:
 
 def poisson(z: complex, xi: float) -> float:
     """Poisson kernel P(z, xi) = y / (pi |z - xi|^2); strictly positive."""
-    zc = as_interior(z)
-    x = as_boundary(xi)
-    dx = zc.real - x
-    return zc.imag / (PI * (dx * dx + zc.imag * zc.imag))
+    return modified_poisson(z, xi, 0, EvalMode.DIRECT)
 
 
 def _poisson_correction_sum(az: float, th_z: float, xi: float, m: int) -> float:
@@ -314,7 +311,7 @@ def modified_poisson(
 ) -> float:
     """Modified Poisson kernel P_m(z, xi); may be negative for |xi| > 1.
 
-    Direct: P(z, xi) for |xi| <= 1, else P minus
+    Direct: P(z, xi) = y / (pi |z - xi|^2) for |xi| <= 1, else P minus
     (1/pi) Im sum_{k=0}^{m} z^k / xi^{1+k}.
 
     Tail (|xi| >= 2|z|, |xi| > 1): the complementary series in closed
@@ -336,7 +333,8 @@ def modified_poisson(
         )
 
     if evmode is EvalMode.DIRECT:
-        p = poisson(zc, x)
+        dx = zc.real - x
+        p = zc.imag / (PI * (dx * dx + zc.imag * zc.imag))
         if axi <= 1.0 or mm == 0:
             return p
         th_z = cmath.phase(zc)

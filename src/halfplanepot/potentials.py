@@ -13,7 +13,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Union
 
 import numpy as np
 
@@ -21,7 +20,6 @@ from .core import (
     BoundaryDensity,
     DiscreteMeasure,
     DomainError,
-    KernelOrder,
     NumericalFailure,
     PowerDensity,
     QuadratureSpec,
@@ -122,7 +120,7 @@ def _power_poisson_tail(density: PowerDensity, z: complex, m: int, T: float):
 def poisson_integral(
     density: BoundaryDensity,
     z: complex,
-    m: Union[KernelOrder, int],
+    m: int,
     quad: QuadratureSpec = QuadratureSpec(),
 ) -> PoissonIntegralResult:
     """v(z): the density integrated against P_m(z, .) over the real line.
@@ -175,7 +173,7 @@ def poisson_integral(
 def green_potential(
     mu: DiscreteMeasure,
     z: complex,
-    m: Union[KernelOrder, int],
+    m: int,
 ) -> float:
     """h(z): the G_m potential of the measure, an exact finite sum, taken
     with one array evaluation of G_m over the atoms.
@@ -194,7 +192,7 @@ def green_potential(
         idx = int(near[0])
         raise SingularityError(
             f"evaluation point {zc} within exclusion distance of atom "
-            f"#{idx} at {mu.points[idx].zeta}"
+            f"#{idx} at {mu.points[idx]}"
         )
     return math.fsum(mu.weight_array * modified_green_many(zc, zetas, mm))
 
@@ -203,7 +201,7 @@ def subharmonic_eval(
     density: BoundaryDensity,
     mu: DiscreteMeasure,
     z: complex,
-    m: Union[KernelOrder, int],
+    m: int,
     quad: QuadratureSpec = QuadratureSpec(),
 ) -> PotentialValue:
     """u = v + h at z."""

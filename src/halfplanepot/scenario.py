@@ -19,14 +19,14 @@ from .core import (
     BoundaryDensity,
     CoverParams,
     DiscreteMeasure,
-    GrowthExponent,
     IndicatorDensity,
-    KernelOrder,
     PowerDensity,
     QuadratureSpec,
     ScenarioError,
     ScenarioValidation,
     TabulatedDensity,
+    as_alpha,
+    as_order,
     validate_scenario,
 )
 from .growth import SamplingPlan
@@ -81,22 +81,12 @@ class Scenario:
     alpha: float
     density: BoundaryDensity
     measure: DiscreteMeasure
-    cover_lambda: Optional[float]  # None means "auto" = 5^beta * mu(C)
-    cover_beta: float
+    cover: CoverParams
     search_radius: float
     plan: SamplingPlan
     quad: QuadratureSpec
     seed: int
     min_factor_per_decade: Optional[float]
-
-    def resolved_lambda(self) -> float:
-        if self.cover_lambda is not None:
-            return self.cover_lambda
-        auto = 5.0**self.cover_beta * self.measure.total_mass
-        return auto if auto > 0 else 1.0
-
-    def cover_params(self) -> CoverParams:
-        return CoverParams(beta=self.cover_beta, lam=self.resolved_lambda())
 
     def validation(self) -> ScenarioValidation:
         return validate_scenario(self.density, self.measure, self.m, self.alpha)
@@ -213,8 +203,8 @@ def parse_scenario(data: dict, base_dir: Union[str, Path] = ".") -> Scenario:
             f"schema_version must be {SCHEMA_VERSION}, got {data.get('schema_version')!r}"
         )
     try:
-        m = KernelOrder(int(_number(data, "m", "scenario"))).m
-        alpha = GrowthExponent(float(_number(data, "alpha", "scenario"))).alpha
+        m = as_order(int(_number(data, "m", "scenario")))
+        alpha = as_alpha(_number(data, "alpha", "scenario"))
     except ValueError as exc:
         raise ScenarioError(str(exc)) from exc
     if "density" not in data:
@@ -230,8 +220,18 @@ def parse_scenario(data: dict, base_dir: Union[str, Path] = ".") -> Scenario:
         raise ScenarioError("cover must be an object")
     _check_keys(cover, _COVER_KEYS, "cover")
     auto = cover.get("lambda", "auto") == "auto"
-    cover_lambda = None if auto else float(_number(cover, "lambda", "cover, if not 'auto',"))
-    cover_beta = float(_number(cover, "beta", "cover", default=2.0 - alpha))
+    lam = None if auto else float(_number(cover, "lambda", "cover, if not 'auto',"))
+    beta = float(_number(cover, "beta", "cover", default=2.0 - alpha))
+    try:
+        if auto:  # 5^beta * mu(C), the covering lemma's minimum
+            lam = 5.0**beta * measure.total_mass
+            lam = lam if lam > 0 else 1.0
+        params = CoverParams(beta=beta, lam=lam)
+    except OverflowError:  # at 5^beta of an auto lambda
+        msg = f"cover order beta={beta} puts 5^beta past the float range"
+        raise ScenarioError(f"invalid cover: {msg}") from None
+    except ValueError as exc:
+        raise ScenarioError(f"invalid cover: {exc}") from exc
     max_radius = plan.radii[-1]
     search_radius = float(
         _number(cover, "search_radius", "cover", default=max(4.0, max_radius))
@@ -254,8 +254,8 @@ def parse_scenario(data: dict, base_dir: Union[str, Path] = ".") -> Scenario:
         raise ScenarioError(f"invalid quadrature spec: {exc}") from exc
 
     seed = data.get("seed", 0)
-    if isinstance(seed, bool) or not isinstance(seed, int):
-        raise ScenarioError(f"seed must be an integer, got {seed!r}")
+    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
+        raise ScenarioError(f"seed must be a non-negative integer, got {seed!r}")
 
     mf = data.get("min_factor_per_decade")
     if mf is not None:
@@ -263,22 +263,18 @@ def parse_scenario(data: dict, base_dir: Union[str, Path] = ".") -> Scenario:
         if not mf > 0:
             raise ScenarioError(f"min_factor_per_decade must be positive, got {mf!r}")
 
-    try:
-        return Scenario(
-            m=m,
-            alpha=alpha,
-            density=density,
-            measure=measure,
-            cover_lambda=cover_lambda,
-            cover_beta=cover_beta,
-            search_radius=search_radius,
-            plan=plan,
-            quad=quad,
-            seed=seed,
-            min_factor_per_decade=mf,
-        )
-    except ValueError as exc:
-        raise ScenarioError(str(exc)) from exc
+    return Scenario(
+        m=m,
+        alpha=alpha,
+        density=density,
+        measure=measure,
+        cover=params,
+        search_radius=search_radius,
+        plan=plan,
+        quad=quad,
+        seed=seed,
+        min_factor_per_decade=mf,
+    )
 
 
 def load_scenario(path: Union[str, Path]) -> Scenario:

@@ -2,6 +2,8 @@ import json
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from halfplanepot.cli import main, parse_complex
 
@@ -357,3 +359,83 @@ class TestBoundsCommand:
 
     def test_missing_config_exit_1(self, capsys):
         assert main(["solve", "--config", "/nonexistent.json", "--out", "/tmp/x.csv"]) == 1
+
+    @pytest.mark.parametrize(
+        "flags",
+        [["--m", "40"], ["--m", "-1"]],
+        ids=["m40", "m-1"],
+    )
+    def test_order_out_of_range_exit_1(self, capsys, flags):
+        assert main(["bounds", "--case", "1", "--samples", "3", *flags]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "[0, 32]" in err
+
+    @pytest.mark.parametrize(
+        "flags",
+        [["--seed", "-1", "--samples", "3"], ["--samples", "-3"]],
+        ids=["seed-1", "samples-3"],
+    )
+    def test_negative_count_exit_1(self, capsys, flags):
+        assert main(["bounds", "--case", "1", *flags]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("config error:")
+
+    def test_zero_samples(self, capsys):
+        assert main(["bounds", "--case", "1", "--samples", "0"]) == 0
+        assert "0 violations / 0 samples" in capsys.readouterr().out
+
+
+class TestOutOfRangeInputs:
+    """Each input below ended in a traceback or passed silently before it
+    was checked at the entry that receives it; all now exit 1."""
+
+    ATOMS = {"atoms": [[0.0, 3.0, 1.0]]}
+
+    @pytest.mark.parametrize("command", ["cover", "verify"])
+    @pytest.mark.parametrize("beta", [-1.0, 1e308], ids=["beta-1", "beta1e308"])
+    @pytest.mark.parametrize("lam", ["auto", 2.0], ids=["auto", "explicit"])
+    def test_cover_beta(self, tmp_path, capsys, command, beta, lam):
+        cfg = write_scenario(tmp_path, measure=self.ATOMS, cover={"beta": beta, "lambda": lam})
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path / "x")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: invalid cover:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", ["cover", "verify"])
+    def test_negative_scenario_seed(self, tmp_path, capsys, command):
+        cfg = write_scenario(tmp_path, seed=-5)
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path / "x")]) == 1
+        assert "config error: seed must be a non-negative integer" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "args", [["cover", "--samples", "-1"], ["verify", "--cert-samples", "-1"]], ids=["cover", "verify"]
+    )
+    def test_negative_certification_samples(self, tmp_path, capsys, args):
+        cfg = write_scenario(tmp_path, measure=self.ATOMS)
+        rc = main([args[0], "--config", str(cfg), "--out", str(tmp_path / "x"), *args[1:]])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert "certified" not in captured.out and captured.err.startswith("config error:")
+
+
+class TestFlagFuzz:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.sampled_from(["p", "pm", "g", "gm"]),
+        st.sampled_from(["direct", "tail", "auto"]),
+        st.integers(-3, 40),
+    )
+    def test_kernel(self, kind, mode, m):
+        argv = ["kernel", "--kind", kind, "--m", str(m), "--z", "1+2i", "--mode", mode]
+        argv += ["--xi", "7.5"] if kind in ("p", "pm") else ["--zeta", "3+9i"]
+        assert main(argv) in (0, 1, 2, 3)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.sampled_from(["1", "2", "3", "4"]),
+        st.integers(-3, 40),
+        st.integers(-3, 3),
+        st.integers(-3, 5),
+    )
+    def test_bounds(self, case, m, seed, samples):
+        argv = ["bounds", "--case", case, "--m", str(m), "--seed", str(seed), "--samples", str(samples)]
+        assert main(argv) in (0, 1, 2, 3)

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -8,41 +9,79 @@ from halfplanepot import (
     Ball,
     CoverParams,
     DiscreteMeasure,
-    GrowthExponent,
     IndicatorDensity,
-    KernelOrder,
     PowerDensity,
     QuadratureSpec,
+    SamplingPlan,
     TabulatedDensity,
-    UpperPoint,
+    green_potential,
+    growth_report,
+    lemma2_bound,
+    lemma2_sweep,
+    modified_green,
+    modified_green_many,
+    modified_poisson,
+    poisson_integral,
+    subharmonic_eval,
     validate_scenario,
 )
-
-
-class TestUpperPoint:
-    def test_boundary_allowed(self):
-        assert UpperPoint(3.0, 0.0).zeta == 3.0 + 0j
-
-    def test_negative_eta_rejected(self):
-        with pytest.raises(ValueError):
-            UpperPoint(0.0, -1e-12)
+from halfplanepot.core import as_alpha, as_order
 
 
 class TestOrderAndExponent:
     @pytest.mark.parametrize("m", [0, 1, 16, 32])
     def test_order_ok(self, m):
-        assert KernelOrder(m).m == m
+        assert as_order(m) == m
 
     @pytest.mark.parametrize("m", [-1, 33, 2.0, True])
     def test_order_bad(self, m):
         with pytest.raises(ValueError):
-            KernelOrder(m)
+            as_order(m)
 
     def test_alpha_range(self):
-        assert GrowthExponent(2.0).alpha == 2.0
-        for bad in (0.0, -1.0, 2.0001):
+        assert as_alpha(2.0) == 2.0
+        assert as_alpha(1) == 1.0 and isinstance(as_alpha(1), float)
+        for bad in (0.0, -1.0, 2.0001, math.nan):
             with pytest.raises(ValueError):
-                GrowthExponent(bad)
+                as_alpha(bad)
+
+
+_DENSITY = IndicatorDensity(-1.0, 1.0, 1.0)
+_MU = DiscreteMeasure.from_triples([(0.0, 3.0, 1.0)])
+_PLAN = SamplingPlan(rays=(math.pi / 2,), radius_start=10.0, radius_factor=10.0, radius_count=1)
+
+# every public function that takes an order m, called with it at ordinary other arguments
+ORDER_ENTRIES = {
+    "modified_poisson": lambda m: modified_poisson(1j, 2.0, m),
+    "modified_green": lambda m: modified_green(1j, 2.0 + 1.0j, m),
+    "modified_green_many": lambda m: modified_green_many(1j, np.array([2.0 + 1.0j]), m),
+    "poisson_integral": lambda m: poisson_integral(_DENSITY, 1j, m),
+    "green_potential": lambda m: green_potential(_MU, 1j, m),
+    "subharmonic_eval": lambda m: subharmonic_eval(_DENSITY, _MU, 1j, m),
+    "lemma2_bound": lambda m: lemma2_bound(1, 1j, 2.0, m),
+    "lemma2_sweep": lambda m: lemma2_sweep(1, m, 0, 0),
+    "growth_report": lambda m: growth_report(_DENSITY, _MU, m, 1.0, _PLAN, None),
+    "validate_scenario": lambda m: validate_scenario(_DENSITY, _MU, m, 1.0),
+    "mass_functional": lambda m: _MU.mass_functional(m),
+}
+ALPHA_ENTRIES = {
+    "growth_report": lambda a: growth_report(_DENSITY, _MU, 0, a, _PLAN, None),
+    "validate_scenario": lambda a: validate_scenario(_DENSITY, _MU, 0, a),
+}
+
+
+class TestEntryChecks:
+    @pytest.mark.parametrize("m", [-1, 33, 2.0, True])
+    @pytest.mark.parametrize("name", sorted(ORDER_ENTRIES))
+    def test_rejects_order(self, name, m):
+        with pytest.raises(ValueError, match="kernel order"):
+            ORDER_ENTRIES[name](m)
+
+    @pytest.mark.parametrize("alpha", [0, -1, 2.0001, math.nan])
+    @pytest.mark.parametrize("name", sorted(ALPHA_ENTRIES))
+    def test_rejects_alpha(self, name, alpha):
+        with pytest.raises(ValueError, match="growth exponent"):
+            ALPHA_ENTRIES[name](alpha)
 
 
 class TestDensities:
@@ -93,6 +132,15 @@ class TestDiscreteMeasure:
             DiscreteMeasure.from_triples([(0.0, 0.0, 1.0)])  # eta = 0
         with pytest.raises(ValueError):
             DiscreteMeasure.from_triples([(0.0, 1.0, -1.0)])  # negative weight
+        for atom in (complex(0.0, -1e-12), complex(math.nan, 1.0), complex(0.0, math.inf), 2.0):
+            with pytest.raises(ValueError):
+                DiscreteMeasure((atom,), (1.0,))
+
+    def test_atoms_are_complex(self):
+        mu = DiscreteMeasure.from_triples([(3.0, 4.0, 0.5), (-1, 2, 1)])
+        assert mu.points == (3 + 4j, -1 + 2j)
+        assert mu.positions.dtype == complex and list(mu.positions) == [3 + 4j, -1 + 2j]
+        assert DiscreteMeasure.empty().positions.dtype == complex
 
     @given(
         st.lists(
@@ -140,6 +188,9 @@ class TestBallAndParams:
             CoverParams(beta=-0.1, lam=1.0)
         with pytest.raises(ValueError):
             CoverParams(beta=1.0, lam=0.0)
+        with pytest.raises(ValueError, match="5\\^beta"):  # 5^beta overflows
+            CoverParams(beta=1e308, lam=1.0)
+        assert CoverParams(beta=440.0, lam=1.0).beta == 440.0  # 5^440 is about 1e307
 
     def test_quadrature_spec(self):
         with pytest.raises(ValueError):

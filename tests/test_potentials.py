@@ -262,13 +262,6 @@ class TestPoissonIntegral:
         oracle = float(np.trapezoid(kern * vals, xs))
         assert abs(res.value - oracle) < 1e-6
 
-    def test_typed_surface(self):
-        from halfplanepot import KernelOrder, modified_poisson
-
-        assert modified_poisson(1j, 2.0, KernelOrder(1)) == modified_poisson(1j, 2.0, 1)
-        res = poisson_integral(IndicatorDensity(-1.0, 1.0, 1.0), 1j, KernelOrder(0), TIGHT)
-        assert abs(res.value - 0.5) < 1e-6
-
     def test_slowly_decaying_power(self):
         # f = |xi|^1.999 at m = 1: the part beyond T decays like T^-0.001,
         # and its closed form carries it
@@ -362,7 +355,7 @@ class TestGreenPotential:
         )
         for _ in range(100):
             z = complex(rng.uniform(-20, 20), rng.uniform(0.01, 20))
-            if any(abs(z - p.zeta) < 1e-6 for p in mu.points):
+            if any(abs(z - p) < 1e-6 for p in mu.points):
                 continue
             assert green_potential(mu, z, 0) <= 0.0
 
@@ -388,7 +381,7 @@ class TestGreenPotential:
         """The per-atom guard test: the first index with abs(z - zeta) <= guard."""
         guard = 1e-12 * (1.0 + abs(z))
         for idx, p in enumerate(mu.points):
-            if abs(z - p.zeta) <= guard:
+            if abs(z - p) <= guard:
                 return idx
         return None
 

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from halfplanepot import (
+    CoverParams,
     IndicatorDensity,
     PowerDensity,
     ScenarioError,
@@ -32,23 +33,26 @@ class TestParsing:
         s = parse_scenario(scen())
         assert s.density == IndicatorDensity(-1.0, 1.0, 1.0)
         assert len(s.measure) == 0
-        assert s.cover_lambda is None
-        assert s.cover_beta == 1.0  # 2 - alpha
+        # beta = 2 - alpha; lambda "auto" falls back to 1 for the empty measure
+        assert s.cover == CoverParams(beta=1.0, lam=1.0)
         assert s.seed == 0
         assert s.min_factor_per_decade is None
-        assert s.resolved_lambda() == 1.0  # empty-measure auto fallback
 
     def test_beta_defaults_to_two_minus_alpha(self):
         s = parse_scenario(scen(alpha=1.5))
-        assert s.cover_beta == 0.5
+        assert s.cover.beta == 0.5
         s = parse_scenario(scen(alpha=1.5, cover={"beta": 1.25}))
-        assert s.cover_beta == 1.25
+        assert s.cover.beta == 1.25
 
     def test_auto_lambda_resolves_to_lemma_minimum(self):
         s = parse_scenario(
             scen(measure={"atoms": [[0.0, 1.0, 2.0], [3.0, 2.0, 1.0]]}, cover={"beta": 1.0})
         )
-        assert s.resolved_lambda() == 5.0 * 3.0
+        assert s.cover == CoverParams(beta=1.0, lam=5.0 * 3.0)
+
+    def test_explicit_lambda(self):
+        s = parse_scenario(scen(cover={"lambda": 2.5, "beta": 0.5}))
+        assert s.cover == CoverParams(beta=0.5, lam=2.5)
 
     def test_density_families(self):
         s = parse_scenario(scen(density={"family": "power", "s": 0.5, "scale": 2.0}))
@@ -88,6 +92,12 @@ class TestRejection:
             scen(plan={"rays": [1.0], "radii": {"start": 1, "factor": 0.5, "count": 2}}),
             scen(quadrature={"abs_tol": -1.0}),
             scen(plan={"rays": [[1.0]], "radii": {"start": 1, "factor": 10, "count": 2}}),
+            scen(seed=-5),
+            scen(cover={"beta": -1.0}),
+            scen(cover={"beta": -1.0, "lambda": 2.0}),
+            scen(cover={"beta": 1e308}),  # 5^beta of the auto lambda overflows
+            scen(cover={"beta": 1e308, "lambda": 2.0}),
+            scen(cover={"lambda": -1.0}),
         ],
     )
     def test_rejected(self, bad):
@@ -151,7 +161,7 @@ class TestExtremeNumbers:
             return
         assert all(math.isfinite(r) for r in s.plan.radii)
         q = s.quad
-        scalars = (s.alpha, s.cover_lambda, s.cover_beta, s.search_radius, s.min_factor_per_decade,
+        scalars = (s.alpha, s.cover.lam, s.cover.beta, s.search_radius, s.min_factor_per_decade,
                    q.abs_tol, q.rel_tol, q.initial_truncation)
         assert all(math.isfinite(v) for v in scalars)
 
@@ -169,7 +179,7 @@ class TestAtomsCsv:
         path.write_text("xi,eta,weight\n1.0,2.0,0.5\n-3.5,0.25,1.25\n")
         mu = read_atoms_csv(path)
         assert len(mu) == 2
-        assert mu.points[1].xi == -3.5
+        assert mu.points[1] == complex(-3.5, 0.25)
         assert mu.weights == (0.5, 1.25)
 
     def test_bad_header(self, tmp_path):
